@@ -6,10 +6,9 @@
 //! Besides the printed rows, the run writes `BENCH_mapping.json`
 //! (override the path with `BENCH_MAPPING_OUT`) so CI records the perf
 //! trajectory: indexed-vs-golden speedup per operation and modeled
-//! points/s. The acceptance bars for the backend are a ≥ 3× speedup on
+//! points/s. The acceptance bar for the backend is a ≥ 3× speedup on
 //! kNN / ball-query / fused kernel-map construction / bucket-pruned
-//! exact FPS and ≥ 2× for the opt-in approximate FPS against the exact
-//! golden sweep.
+//! exact FPS.
 //!
 //! Workload size follows `POINTACC_SCALE` (clamped so the golden O(n²)
 //! side stays benchmarkable at scale 1.0).
@@ -70,18 +69,12 @@ fn main() {
         compare(reps, |b| black_box(b.ball_query_padded(&pts, &queries, radius * radius, k)).len());
     let (km_g, km_i) = compare(reps, |b| black_box(b.kernel_map(&cloud, &cloud, 3)).len());
     let (fps_g, fps_i) = compare(reps, |b| black_box(b.farthest_point_sampling(&pts, m)).len());
-    // Approximate FPS is opt-in and not bit-identical, so its baseline is
-    // the *exact* golden sweep: the speedup a caller buys by flipping the
-    // `ExecOptions::approx_fps` knob.
-    let fpsx_g = time_median(reps, || black_box(GOLDEN.farthest_point_sampling(&pts, m)).len());
-    let fpsx_i = time_median(reps, || black_box(INDEXED.fps_approx(&pts, m)).len());
 
     let rows = [
         ("knn", knn_g, knn_i),
         ("ball_query", ball_g, ball_i),
         ("kernel_map", km_g, km_i),
         ("fps", fps_g, fps_i),
-        ("fps_approx", fpsx_g, fpsx_i),
     ];
     println!("mapping workload: {n} points, {n_queries} queries, k={k}, {} voxels", cloud.len());
     for (name, golden_s, indexed_s) in rows {
@@ -124,8 +117,7 @@ fn main() {
             "    \"knn\": {:.3},\n",
             "    \"ball_query\": {:.3},\n",
             "    \"kernel_map\": {:.3},\n",
-            "    \"fps\": {:.3},\n",
-            "    \"fps_approx\": {:.3}\n",
+            "    \"fps\": {:.3}\n",
             "  }},\n",
             "  \"modeled_points_per_s\": {{\n",
             "    \"{}\": {:.1},\n",
@@ -141,7 +133,6 @@ fn main() {
         ball_g / ball_i.max(1e-12),
         km_g / km_i.max(1e-12),
         fps_g / fps_i.max(1e-12),
-        fpsx_g / fpsx_i.max(1e-12),
         modeled[0].0,
         modeled[0].1,
         modeled[1].0,
@@ -154,30 +145,22 @@ fn main() {
     std::fs::write(&out, &json).expect("write BENCH_mapping.json");
     println!("wrote {out}");
 
-    // Enforce the documented per-op bars: kNN, ball-query, the fused
-    // kernel map and bucket-pruned exact FPS must beat golden ≥ 3×, and
-    // opt-in approximate FPS must beat the exact golden sweep ≥ 2×
-    // (exact FPS is bit-identical by property test, so its bar is pure
+    // Enforce the documented per-op bar: kNN, ball-query, the fused
+    // kernel map and bucket-pruned exact FPS must each beat golden ≥ 3×
+    // (every op is bit-identical by property test, so the bar is pure
     // wall-clock). A regression fails the
     // bench-smoke CI job, not just a number in the JSON. Clamped smoke
     // workloads (n below the default 12k) run ops in the low
     // milliseconds where fixed costs — index build, buffer setup, the
     // golden hash table turning cache-resident — compress the ratios,
-    // so the bars derate to 60% there; that still fails hard on a real
+    // so the bar derates to 60% there; that still fails hard on a real
     // regression (the pre-merge-join kernel map measured 1.1×).
-    // `BENCH_MAPPING_MIN_SPEEDUP` overrides every bar (0 = record-only).
+    // `BENCH_MAPPING_MIN_SPEEDUP` overrides the bar (0 = record-only).
     let override_floor: Option<f64> =
         std::env::var("BENCH_MAPPING_MIN_SPEEDUP").ok().and_then(|s| s.parse().ok());
     let derate = if n < 12_000 { 0.6 } else { 1.0 };
-    let bars = [
-        ("knn", knn_g, knn_i, 3.0),
-        ("ball_query", ball_g, ball_i, 3.0),
-        ("kernel_map", km_g, km_i, 3.0),
-        ("fps", fps_g, fps_i, 3.0),
-        ("fps_approx", fpsx_g, fpsx_i, 2.0),
-    ];
-    for (name, golden_s, indexed_s, default_floor) in bars {
-        let floor = override_floor.unwrap_or(default_floor * derate);
+    let floor = override_floor.unwrap_or(3.0 * derate);
+    for (name, golden_s, indexed_s) in rows {
         let ratio = golden_s / indexed_s.max(1e-12);
         assert!(
             ratio >= floor,

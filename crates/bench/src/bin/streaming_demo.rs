@@ -29,7 +29,6 @@ fn outcome_tag(outcome: ReuseOutcome) -> &'static str {
     match outcome {
         ReuseOutcome::Compiled => "compiled",
         ReuseOutcome::ExactReuse => "exact-reuse",
-        ReuseOutcome::VoxelReuse => "voxel-reuse",
     }
 }
 

@@ -1,5 +1,5 @@
-//! Admission-controlled async serving front-end with per-shard
-//! capacity modeling.
+//! Admission-controlled serving front-end with per-shard capacity
+//! modeling.
 //!
 //! [`serve`](crate::serve::serve) drains everything it is handed — the
 //! right shape for a batch harness, the wrong one for a service: under
@@ -28,11 +28,10 @@
 //!   injected clock, so scheduling behavior is testable without
 //!   sleeping. [`paced`] builds deterministic arrival processes by
 //!   advancing a `SimClock` as the request stream is consumed.
-//! - **An async producer** — admission and enqueueing run as a future
-//!   (executed by the in-tree `futures` shim) that suspends on
-//!   [`BoundedQueue::push_async`] backpressure instead of blocking,
-//!   while worker threads drain the per-shard queues exactly as in the
-//!   batch path.
+//! - **A blocking producer** — admission and enqueueing run on the
+//!   calling thread, which blocks on [`BoundedQueue::push`]
+//!   backpressure while worker threads drain the per-shard queues
+//!   exactly as in the batch path.
 //!
 //! One code path serves both worlds: `serve` is simply
 //! [`AdmissionPolicy::admit_all`] on this front-end.
@@ -223,8 +222,8 @@ impl AdmissionPolicy {
 #[derive(Clone, Debug)]
 pub struct FrontendOptions {
     /// Maximum queued (not yet claimed) requests per engine shard; the
-    /// async producer suspends while the assigned shard's queue is
-    /// full.
+    /// producer blocks while the assigned shard's queue is full. Must be
+    /// positive ([`Frontend::new`] panics on 0).
     pub queue_capacity: usize,
     /// Worker threads per engine shard. With 0 workers nothing can ever
     /// drain, so admission sheds every request ([`Rejected::Overloaded`])
@@ -345,7 +344,7 @@ struct Completion {
 }
 
 /// The admission-controlled serving front-end: engines with calibrated
-/// capacity budgets, per-shard bounded queues, and an async producer
+/// capacity budgets, per-shard bounded queues, and a blocking producer
 /// applying the [`AdmissionPolicy`].
 pub struct Frontend<'a> {
     engines: &'a [&'a dyn Engine],
@@ -363,7 +362,8 @@ impl<'a> Frontend<'a> {
     ///
     /// # Panics
     ///
-    /// Panics when `engines` or `benchmarks` is empty, or when explicit
+    /// Panics when `engines` or `benchmarks` is empty, when
+    /// [`FrontendOptions::queue_capacity`] is 0, or when explicit
     /// capacities disagree with the engine count.
     pub fn new(
         engines: &'a [&'a dyn Engine],
@@ -372,6 +372,7 @@ impl<'a> Frontend<'a> {
     ) -> Self {
         assert!(!engines.is_empty(), "serving needs at least one engine");
         assert!(!benchmarks.is_empty(), "serving needs at least one benchmark");
+        assert!(options.queue_capacity > 0, "queue capacity must be positive");
         let capacities = match &options.capacities {
             Some(c) => {
                 assert_eq!(
@@ -399,9 +400,9 @@ impl<'a> Frontend<'a> {
 
     /// Serves `requests`, reading every timestamp from `clock`.
     ///
-    /// The producer runs as a future on the calling thread (admission,
-    /// routing, async backpressure); `workers_per_engine` threads per
-    /// shard drain the queues. The returned report accounts for every
+    /// The producer runs on the calling thread (admission, routing,
+    /// blocking backpressure); `workers_per_engine` threads per shard
+    /// drain the queues. The returned report accounts for every
     /// request: [`ServeReport::accounting_balances`] always holds.
     pub fn run_with_clock(
         &self,
@@ -438,7 +439,7 @@ impl<'a> Frontend<'a> {
 
         // Closes every queue when a worker exits for any reason —
         // crucially including a panic unwinding through
-        // `engine.evaluate`. Without it the producer could suspend
+        // `engine.evaluate`. Without it the producer could block
         // forever against a full queue that no surviving worker will
         // drain; closing resolves the pending push, lets the scope
         // join, and the scope then rethrows the worker's panic. Normal
@@ -453,7 +454,7 @@ impl<'a> Frontend<'a> {
             }
         }
 
-        // These per-engine workers are blocking queue consumers that suspend
+        // These per-engine workers are blocking queue consumers that block
         // on `queue.pop()` for the whole run — not map-shaped work, so routing
         // them through the pointacc_geom::par pool would wedge its workers
         // behind queues the pool itself is expected to feed.
@@ -503,55 +504,51 @@ impl<'a> Frontend<'a> {
             }
 
             // This thread is the producer: admit, route, enqueue with
-            // async backpressure, then close so workers drain and exit.
-            // A failed push means a worker died and closed the queues —
-            // stop producing so its panic can surface through the scope
-            // join.
-            let submitted = futures::executor::block_on(async {
-                let mut shards: Vec<ShardModel> = self
-                    .capacities
-                    .iter()
-                    .map(|&capacity| ShardModel { capacity, backlog: 0.0, as_of: start })
-                    .collect();
-                let mut submitted = 0usize;
-                for request in requests {
-                    submitted += 1;
-                    let now = clock.now();
-                    match self.admit(&mut shards, &request, now) {
-                        Ok(shard) => {
-                            let deadline = request
-                                .deadline
-                                .map(|d| now.checked_add(d).unwrap_or(Duration::MAX));
-                            let admitted = Admitted { request, enqueued: now, deadline };
-                            if !queues[shard].push_async(admitted).await {
-                                break;
-                            }
+            // blocking backpressure, then close so workers drain and
+            // exit. A failed push means a worker died and closed the
+            // queues — stop producing so its panic can surface through
+            // the scope join.
+            let mut shards: Vec<ShardModel> = self
+                .capacities
+                .iter()
+                .map(|&capacity| ShardModel { capacity, backlog: 0.0, as_of: start })
+                .collect();
+            let mut submitted = 0usize;
+            for request in requests {
+                submitted += 1;
+                let now = clock.now();
+                match self.admit(&mut shards, &request, now) {
+                    Ok(shard) => {
+                        let deadline =
+                            request.deadline.map(|d| now.checked_add(d).unwrap_or(Duration::MAX));
+                        let admitted = Admitted { request, enqueued: now, deadline };
+                        if !queues[shard].push(admitted) {
+                            break;
                         }
-                        Err(rejection) => {
-                            let outcome = match rejection {
-                                Rejected::Overloaded { .. } => Outcome::Shed,
-                                Rejected::DeadlineExceeded { .. } => Outcome::Expired,
-                            };
-                            let shard = match rejection {
-                                Rejected::Overloaded { shard, .. } => shard,
-                                Rejected::DeadlineExceeded { .. } => 0,
-                            };
-                            if tx
-                                .send(Completion {
-                                    engine: shard,
-                                    queue_latency: Duration::ZERO,
-                                    points: 0,
-                                    outcome,
-                                })
-                                .is_err()
-                            {
-                                break;
-                            }
+                    }
+                    Err(rejection) => {
+                        let outcome = match rejection {
+                            Rejected::Overloaded { .. } => Outcome::Shed,
+                            Rejected::DeadlineExceeded { .. } => Outcome::Expired,
+                        };
+                        let shard = match rejection {
+                            Rejected::Overloaded { shard, .. } => shard,
+                            Rejected::DeadlineExceeded { .. } => 0,
+                        };
+                        if tx
+                            .send(Completion {
+                                engine: shard,
+                                queue_latency: Duration::ZERO,
+                                points: 0,
+                                outcome,
+                            })
+                            .is_err()
+                        {
+                            break;
                         }
                     }
                 }
-                submitted
-            });
+            }
             for q in &queues {
                 q.close();
             }
@@ -858,6 +855,21 @@ mod tests {
         // 64 modeled points per 0.5 simulated seconds.
         let points = modeled_points(&benchmarks[0], 0.02) as f64;
         assert!((frontend.capacities()[0] - points / 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "queue capacity must be positive")]
+    fn zero_queue_capacity_panics_at_construction() {
+        let engine = ConstEngine { name: "Const", total_s: 0.5 };
+        let benchmarks = pointnet_only();
+        let engines = [&engine as &dyn Engine];
+        // Fails before calibration compiles anything, not later inside
+        // the first run.
+        let _ = Frontend::new(
+            &engines,
+            &benchmarks,
+            FrontendOptions { queue_capacity: 0, scale: 0.02, ..FrontendOptions::default() },
+        );
     }
 
     #[test]

@@ -7,10 +7,8 @@
 //! not just latency — reported. This module provides the serving
 //! primitives and the classic drain-everything entry point:
 //!
-//! - [`BoundedQueue`], a bounded MPSC channel usable from both worlds:
-//!   blocking `push`/`pop` for worker threads, waker-registering
-//!   [`BoundedQueue::push_async`] / [`BoundedQueue::pop_async`] for the
-//!   async front-end;
+//! - [`BoundedQueue`], a bounded MPSC channel with blocking `push`/`pop`
+//!   between the producer and the worker threads;
 //! - [`Request`], one inference request, optionally carrying a relative
 //!   latency [`Request::deadline`];
 //! - [`ServeReport`], the aggregate: requests/s, points/s, queue-latency
@@ -48,12 +46,7 @@
 //! ```
 
 use std::collections::VecDeque;
-use std::future::Future;
-use std::pin::Pin;
 use std::sync::{Condvar, Mutex};
-
-use crate::sync::{lock, wait};
-use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
 use pointacc::Engine;
@@ -61,6 +54,7 @@ use pointacc_nn::zoo::Benchmark;
 
 use crate::cache::CacheStats;
 use crate::frontend::{AdmissionPolicy, Frontend, FrontendOptions};
+use crate::sync::{lock, wait};
 
 /// One inference request: a benchmark (index into the server's
 /// benchmark list), the dataset seed identifying the input cloud, and
@@ -94,8 +88,7 @@ impl Request {
 #[derive(Copy, Clone, Debug)]
 pub struct ServeOptions {
     /// Maximum queued (not yet claimed) requests per engine shard; the
-    /// producer blocks (or, on the async path, suspends) when a shard's
-    /// queue is full.
+    /// producer blocks when a shard's queue is full. Must be positive.
     pub queue_capacity: usize,
     /// Worker threads per engine shard.
     pub workers_per_engine: usize,
@@ -109,12 +102,10 @@ impl Default for ServeOptions {
     }
 }
 
-/// A bounded MPSC queue usable from threads and futures alike: the
-/// blocking `push`/`pop` pair parks on a condvar, the `*_async` pair
-/// registers the task's waker instead. Mixed use is the intended mode —
-/// the async producer of the serving front-end pushes while blocking
-/// worker threads pop — and each pop wakes both kinds of waiters.
-/// `close` drains remaining items then ends the stream.
+/// A bounded MPSC queue between the serving producer and its worker
+/// threads: `push` blocks while the queue is full, `pop` blocks while it
+/// is empty, both parking on a condvar. `close` drains remaining items
+/// then ends the stream.
 pub struct BoundedQueue<T> {
     state: Mutex<QueueState<T>>,
     not_full: Condvar,
@@ -125,26 +116,6 @@ pub struct BoundedQueue<T> {
 struct QueueState<T> {
     items: VecDeque<T>,
     closed: bool,
-    /// Tasks suspended in [`BoundedQueue::push_async`] against a full
-    /// queue, woken by `pop` / `close`.
-    push_wakers: Vec<Waker>,
-    /// Tasks suspended in [`BoundedQueue::pop_async`] against an empty
-    /// queue, woken by `push` / `close`.
-    pop_wakers: Vec<Waker>,
-}
-
-impl<T> QueueState<T> {
-    fn wake_pushers(&mut self) {
-        for w in self.push_wakers.drain(..) {
-            w.wake();
-        }
-    }
-
-    fn wake_poppers(&mut self) {
-        for w in self.pop_wakers.drain(..) {
-            w.wake();
-        }
-    }
 }
 
 impl<T> BoundedQueue<T> {
@@ -156,12 +127,7 @@ impl<T> BoundedQueue<T> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "queue capacity must be positive");
         BoundedQueue {
-            state: Mutex::new(QueueState {
-                items: VecDeque::new(),
-                closed: false,
-                push_wakers: Vec::new(),
-                pop_wakers: Vec::new(),
-            }),
+            state: Mutex::new(QueueState { items: VecDeque::new(), closed: false }),
             not_full: Condvar::new(),
             not_empty: Condvar::new(),
             capacity,
@@ -180,16 +146,7 @@ impl<T> BoundedQueue<T> {
         }
         state.items.push_back(item);
         self.not_empty.notify_one();
-        state.wake_poppers();
         true
-    }
-
-    /// [`BoundedQueue::push`] as a future: suspends (registering the
-    /// task's waker) instead of blocking the thread while the queue is
-    /// full. Resolves to `false`, dropping the item, if the queue was
-    /// closed.
-    pub fn push_async(&self, item: T) -> PushFuture<'_, T> {
-        PushFuture { queue: self, item: Some(item) }
     }
 
     /// Dequeues the oldest item, blocking while the queue is empty.
@@ -199,7 +156,6 @@ impl<T> BoundedQueue<T> {
         loop {
             if let Some(item) = state.items.pop_front() {
                 self.not_full.notify_one();
-                state.wake_pushers();
                 return Some(item);
             }
             if state.closed {
@@ -209,20 +165,11 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// [`BoundedQueue::pop`] as a future: suspends instead of blocking
-    /// while the queue is empty. Resolves to `None` once the queue is
-    /// closed and drained.
-    pub fn pop_async(&self) -> PopFuture<'_, T> {
-        PopFuture { queue: self }
-    }
-
     /// Closes the queue: queued items still drain, further pushes fail,
     /// and poppers return `None` once empty.
     pub fn close(&self) {
         let mut state = lock(&self.state);
         state.closed = true;
-        state.wake_pushers();
-        state.wake_poppers();
         self.not_empty.notify_all();
         self.not_full.notify_all();
     }
@@ -235,61 +182,6 @@ impl<T> BoundedQueue<T> {
     /// Whether the queue is currently empty (racy; for monitoring only).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-/// Future returned by [`BoundedQueue::push_async`].
-pub struct PushFuture<'q, T> {
-    queue: &'q BoundedQueue<T>,
-    item: Option<T>,
-}
-
-impl<T> Unpin for PushFuture<'_, T> {}
-
-impl<T> Future for PushFuture<'_, T> {
-    type Output = bool;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<bool> {
-        let this = self.get_mut();
-        let mut state = lock(&this.queue.state);
-        if state.closed {
-            this.item = None;
-            return Poll::Ready(false);
-        }
-        if state.items.len() < this.queue.capacity {
-            let item = this.item.take().expect("push future polled after completion");
-            state.items.push_back(item);
-            this.queue.not_empty.notify_one();
-            state.wake_poppers();
-            return Poll::Ready(true);
-        }
-        state.push_wakers.push(cx.waker().clone());
-        Poll::Pending
-    }
-}
-
-/// Future returned by [`BoundedQueue::pop_async`].
-pub struct PopFuture<'q, T> {
-    queue: &'q BoundedQueue<T>,
-}
-
-impl<T> Unpin for PopFuture<'_, T> {}
-
-impl<T> Future for PopFuture<'_, T> {
-    type Output = Option<T>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Option<T>> {
-        let mut state = lock(&self.queue.state);
-        if let Some(item) = state.items.pop_front() {
-            self.queue.not_full.notify_one();
-            state.wake_pushers();
-            return Poll::Ready(Some(item));
-        }
-        if state.closed {
-            return Poll::Ready(None);
-        }
-        state.pop_wakers.push(cx.waker().clone());
-        Poll::Pending
     }
 }
 
@@ -399,7 +291,8 @@ pub const MAX_FAILURE_SAMPLES: usize = 16;
 ///
 /// # Panics
 ///
-/// Panics when `engines` or `benchmarks` is empty.
+/// Panics when `engines` or `benchmarks` is empty, or when
+/// `options.queue_capacity` is 0.
 pub fn serve(
     engines: &[&dyn Engine],
     benchmarks: &[Benchmark],
@@ -462,52 +355,6 @@ mod tests {
         });
         assert!(!queue.push(99), "closed queue rejects pushes");
         assert_eq!(queue.pop(), None);
-    }
-
-    #[test]
-    fn async_pushes_suspend_until_threaded_pops_make_room() {
-        // The serving front-end's exact mix: an async producer pushing
-        // through a full queue drained by a blocking consumer thread.
-        let queue: BoundedQueue<u32> = BoundedQueue::new(2);
-        std::thread::scope(|scope| {
-            let consumer = scope.spawn(|| {
-                let mut got = Vec::new();
-                while let Some(i) = queue.pop() {
-                    got.push(i);
-                }
-                got
-            });
-            futures::executor::block_on(async {
-                for i in 0..64 {
-                    assert!(queue.push_async(i).await);
-                }
-            });
-            queue.close();
-            assert_eq!(consumer.join().unwrap(), (0..64).collect::<Vec<_>>());
-        });
-        // Closed queue: the future resolves to false without suspending.
-        assert!(!futures::executor::block_on(queue.push_async(99)));
-    }
-
-    #[test]
-    fn async_pops_drain_and_observe_close() {
-        let queue: BoundedQueue<u32> = BoundedQueue::new(4);
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                for i in 0..16 {
-                    assert!(queue.push(i));
-                }
-                queue.close();
-            });
-            let got = futures::executor::block_on(async {
-                let mut got = Vec::new();
-                while let Some(i) = queue.pop_async().await {
-                    got.push(i);
-                }
-                got
-            });
-            assert_eq!(got, (0..16).collect::<Vec<_>>());
-        });
     }
 
     #[test]
@@ -596,7 +443,7 @@ mod tests {
         let benchmarks: Vec<_> =
             zoo::benchmarks().into_iter().filter(|b| b.notation == "PointNet").collect();
         // More requests than queue capacity: without close-on-panic the
-        // producer would suspend forever against a full queue no worker
+        // producer would block forever against a full queue no worker
         // drains; with it, the scope join rethrows the worker's panic.
         let requests = (0..32).map(|_| Request::new(0, 42));
         let _ = serve(

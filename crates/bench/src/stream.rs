@@ -3,7 +3,7 @@
 //!
 //! The scenario is a single-server queue on a [`Clock`]: frame *k*
 //! arrives at `k × period`, is traced through a
-//! [`StreamingTracer`] (exact / voxel reuse before compilation), and
+//! [`StreamingTracer`] (exact reuse before compilation), and
 //! its modeled service time comes from the engine's evaluation of the
 //! trace — the full `total` for a compiled frame, `total − mapping` for
 //! a reused one (the serving system skips the mapping phase when it
@@ -127,12 +127,7 @@ impl StreamReport {
     pub fn stats_from(&self, from: usize) -> StreamStats {
         let mut stats = StreamStats::default();
         for r in self.records.iter().filter(|r| r.index >= from) {
-            stats.frames += 1;
-            match r.outcome {
-                ReuseOutcome::ExactReuse => stats.exact_reuses += 1,
-                ReuseOutcome::VoxelReuse => stats.voxel_reuses += 1,
-                ReuseOutcome::Compiled => stats.compiles += 1,
-            }
+            stats.record(r.outcome);
         }
         stats
     }
@@ -177,13 +172,13 @@ pub fn serve_stream(
         // Engine evaluation is a pure function of the trace; a reused
         // trace reuses the previous report rather than re-walking it.
         let report = match (&last_eval, outcome) {
-            (Some(r), ReuseOutcome::ExactReuse | ReuseOutcome::VoxelReuse) => r.clone(),
+            (Some(r), ReuseOutcome::ExactReuse) => r.clone(),
             _ => engine.evaluate(&output.trace),
         };
         let full_service = Duration::from_secs_f64(report.total.0.max(0.0));
         let service = match outcome {
             ReuseOutcome::Compiled => full_service,
-            ReuseOutcome::ExactReuse | ReuseOutcome::VoxelReuse => {
+            ReuseOutcome::ExactReuse => {
                 Duration::from_secs_f64((report.total.0 - report.mapping.0).max(0.0))
             }
         };

@@ -215,10 +215,9 @@ const NO_RETURN: u32 = u32::MAX;
 ///
 /// `removed` holds positions **in the previous frame's point array**;
 /// `inserted` holds the new points. Applying
-/// [`pointacc_geom::index::apply_point_delta`] (or
-/// [`pointacc_geom::index::GridIndex::apply_delta`]) with this delta to
-/// the previous frame's array reproduces `points` bit-exactly — the
-/// stream maintains its own state through that same transformation.
+/// [`pointacc_geom::index::apply_point_delta`] with this delta to the
+/// previous frame's array reproduces `points` bit-exactly — the stream
+/// maintains its own state through that same transformation.
 #[derive(Clone, Debug)]
 pub struct Frame {
     /// Frame number, starting at 0.

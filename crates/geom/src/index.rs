@@ -12,13 +12,9 @@
 //!   coordinates mirrored into x/y/z SoA arrays, so spatially adjacent
 //!   cells sit adjacent in memory and shell/AABB scans stream linear
 //!   loads instead of chasing the point array,
-//! - [`CoordIndex`] — an open-addressing hash index over a
-//!   [`VoxelCloud`]'s packed lattice keys (no per-probe SipHash), for
-//!   point lookups whose probe order is arbitrary (kernel-map probes
-//!   themselves ascend per bucket and use a merge join instead),
 //! - [`MappingBackend`] — one trait for every mapping operation (FPS,
-//!   kNN, ball query, kernel mapping, opt-in approximate FPS), with two
-//!   implementations: [`Golden`] (the brute-force oracle) and [`Indexed`]
+//!   kNN, ball query, kernel mapping), with two implementations:
+//!   [`Golden`] (the brute-force oracle) and [`Indexed`]
 //!   (grid-hash traversal, **fused kernel-map probing** over output
 //!   buckets, plus per-query/per-bucket parallelism via [`crate::par`]).
 //!
@@ -75,11 +71,6 @@ const FPS_MIN_CHUNK: usize = 2048;
 /// as-is.
 const FPS_PRUNE_WORK: u64 = 1 << 14;
 
-/// Minimum cloud size for grid-stratified approximate FPS; smaller
-/// clouds fall back to exact sampling (stratification overhead and the
-/// approximation error both outweigh the saved distance evaluations).
-const FPS_APPROX_MIN: usize = 2048;
-
 /// A uniform grid hash over a slice of continuous points.
 ///
 /// Cell size is chosen from the bounding box so cells hold ~2 points on
@@ -109,10 +100,6 @@ const FPS_APPROX_MIN: usize = 2048;
 /// ```
 pub struct GridIndex {
     points: Vec<Point3>,
-    /// The point count the cell sizing was chosen for; when the live
-    /// count drifts past 2× in either direction, [`GridIndex::apply_delta`]
-    /// rebuilds instead of patching (occupancy would no longer be ~2).
-    built_n: usize,
     cell: f32,
     origin: Point3,
     dims: [usize; 3],
@@ -128,40 +115,18 @@ pub struct GridIndex {
     xs: Vec<f32>,
     ys: Vec<f32>,
     zs: Vec<f32>,
-    /// Tight elementwise min/max over the indexed points (`None` when
-    /// empty), maintained through [`GridIndex::apply_delta`] — callers
-    /// that already hold an index reuse this instead of re-scanning the
-    /// cloud (e.g. [`fps_stratified_with_bounds`]).
-    bounds: Option<(Point3, Point3)>,
 }
 
 impl GridIndex {
     /// Builds the index over a copy of `points` (an empty slice yields
     /// an empty, queryable index). The index owns its point storage so
-    /// it can outlive the caller's buffer and absorb deltas in place —
-    /// see [`GridIndex::apply_delta`].
+    /// it can outlive the caller's buffer.
     pub fn build(points: &[Point3]) -> Self {
-        Self::build_owned(points.to_vec())
-    }
-
-    /// [`GridIndex::build`] reusing an already-computed tight bounding
-    /// box (as returned by [`PointSet::bounds`]) so callers that just
-    /// scanned the cloud — stratified FPS falling back to exact, the
-    /// streaming frame path — do not pay the min/max pass twice.
-    pub fn build_with_bounds(points: &[Point3], bounds: (Point3, Point3)) -> Self {
-        Self::build_owned_with(points.to_vec(), Some(bounds))
-    }
-
-    fn build_owned(points: Vec<Point3>) -> Self {
-        Self::build_owned_with(points, None)
-    }
-
-    fn build_owned_with(points: Vec<Point3>, known_bounds: Option<(Point3, Point3)>) -> Self {
+        let points = points.to_vec();
         let n = points.len();
         if n == 0 {
             return GridIndex {
                 points,
-                built_n: 0,
                 cell: 1.0,
                 origin: Point3::ORIGIN,
                 dims: [1, 1, 1],
@@ -171,22 +136,18 @@ impl GridIndex {
                 xs: Vec::new(),
                 ys: Vec::new(),
                 zs: Vec::new(),
-                bounds: None,
             };
         }
-        let (min, max) = known_bounds.unwrap_or_else(|| {
-            let mut min = points[0];
-            let mut max = points[0];
-            for p in &points {
-                min.x = min.x.min(p.x);
-                min.y = min.y.min(p.y);
-                min.z = min.z.min(p.z);
-                max.x = max.x.max(p.x);
-                max.y = max.y.max(p.y);
-                max.z = max.z.max(p.z);
-            }
-            (min, max)
-        });
+        let mut min = points[0];
+        let mut max = points[0];
+        for p in &points {
+            min.x = min.x.min(p.x);
+            min.y = min.y.min(p.y);
+            min.z = min.z.min(p.z);
+            max.x = max.x.max(p.x);
+            max.y = max.y.max(p.y);
+            max.z = max.z.max(p.z);
+        }
         let ext = [max.x - min.x, max.y - min.y, max.z - min.z];
         let (cell, dims) = if ext.iter().all(|e| e.is_finite()) {
             Self::pick_cell(ext, n)
@@ -228,28 +189,7 @@ impl GridIndex {
             ys[s] = p.y;
             zs[s] = p.z;
         }
-        GridIndex {
-            points,
-            built_n: n,
-            cell,
-            origin: min,
-            dims,
-            slot_of,
-            starts,
-            entries,
-            xs,
-            ys,
-            zs,
-            bounds: Some((min, max)),
-        }
-    }
-
-    /// Tight elementwise bounding box of the indexed points (`None`
-    /// when empty) — computed during the build, kept tight through
-    /// [`GridIndex::apply_delta`], so holders of an index never need to
-    /// re-scan the cloud for its extent.
-    pub fn bounds(&self) -> Option<(Point3, Point3)> {
-        self.bounds
+        GridIndex { points, cell, origin: min, dims, slot_of, starts, entries, xs, ys, zs }
     }
 
     /// Number of indexed points.
@@ -260,176 +200,6 @@ impl GridIndex {
     /// Whether the index holds no points.
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
-    }
-
-    /// The indexed points, in index order (the order queries report).
-    pub fn points(&self) -> &[Point3] {
-        &self.points
-    }
-
-    /// Whether `p` falls inside the built grid's coverage box without
-    /// clamping. Clamped points would break the kNN shell-termination
-    /// bound (which assumes every point lies inside its assigned cell),
-    /// so [`GridIndex::apply_delta`] rebuilds rather than admit one.
-    fn covers(&self, p: Point3) -> bool {
-        if !(p.x.is_finite() && p.y.is_finite() && p.z.is_finite()) {
-            return false;
-        }
-        let c = self.cell_of(p);
-        (0..3).all(|a| c[a] >= 0 && c[a] < self.dims[a] as i128)
-    }
-
-    /// Applies a point delta in place: removes the points at positions
-    /// `removes`, then inserts `inserts`, re-indexing with
-    /// [`apply_point_delta`]'s deterministic layout (holes filled by
-    /// inserts in order, spill appended, leftover holes back-filled from
-    /// the tail). Returns the `(from, to)` position moves of surviving
-    /// points so callers can track external per-point state.
-    ///
-    /// After the call the index is **bit-identical to
-    /// [`GridIndex::build`] over the same transformed array** — same
-    /// query results, enforced by property test in `tests/streaming.rs`.
-    /// The patch path keeps the grid geometry (origin, cell size, Morton
-    /// slot table) and rebuilds only the CSR buckets in one streaming
-    /// merge — `O(n)` sequential copy plus `O(churn·log churn)` sorting,
-    /// skipping the bounding-box scan, cell sizing, and Morton-code sort
-    /// that dominate a cold build. A full rebuild happens only when an
-    /// insert escapes the coverage box (or is non-finite), the point
-    /// count drifts 2× from the sizing target, or the index was empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any remove position is out of bounds (duplicates are
-    /// tolerated and collapse to one removal).
-    pub fn apply_delta(&mut self, removes: &[u32], inserts: &[Point3]) -> Vec<(u32, u32)> {
-        let old_n = self.points.len();
-        let mut rem: Vec<u32> = removes.to_vec();
-        rem.sort_unstable();
-        rem.dedup();
-        assert!(
-            rem.last().is_none_or(|&r| (r as usize) < old_n),
-            "remove position out of bounds: {:?} (len {old_n})",
-            rem.last()
-        );
-        let n_new = old_n - rem.len() + inserts.len();
-        let patchable = old_n > 0
-            && n_new > 0
-            && n_new >= self.built_n / 2
-            && n_new <= self.built_n.saturating_mul(2)
-            && inserts.iter().all(|&p| self.covers(p));
-        if !patchable {
-            let mut pts = std::mem::take(&mut self.points);
-            let moves = apply_point_delta(&mut pts, &rem, inserts);
-            *self = Self::build_owned(pts);
-            return moves;
-        }
-
-        // Which old positions vanish from the buckets: the removed
-        // points, plus the tail points the transformation relocates.
-        let mut is_del = vec![false; old_n];
-        for &r in &rem {
-            is_del[r as usize] = true;
-        }
-        let moves = apply_point_delta(&mut self.points, &rem, inserts);
-        for &(from, _) in &moves {
-            is_del[from as usize] = true;
-        }
-
-        // Which new positions enter the buckets: hole positions filled
-        // by inserts, appended inserts, and relocated tail points — by
-        // the transformation's layout, the first `filled` holes and the
-        // appended range hold the inserts, the moves hold the rest.
-        let filled = rem.len().min(inserts.len());
-        let mut adds: Vec<(u32, u32)> = Vec::with_capacity(inserts.len() + moves.len());
-        let slot_at = |p: Point3| -> u32 {
-            let c = self.cell_of(p);
-            let cx = c[0].clamp(0, self.dims[0] as i128 - 1) as usize;
-            let cy = c[1].clamp(0, self.dims[1] as i128 - 1) as usize;
-            let cz = c[2].clamp(0, self.dims[2] as i128 - 1) as usize;
-            self.slot_of[(cx * self.dims[1] + cy) * self.dims[2] + cz]
-        };
-        for &h in &rem[..filled] {
-            adds.push((slot_at(self.points[h as usize]), h));
-        }
-        for i in old_n - rem.len() + filled..n_new {
-            adds.push((slot_at(self.points[i]), i as u32));
-        }
-        for &(_, to) in &moves {
-            adds.push((slot_at(self.points[to as usize]), to));
-        }
-        adds.sort_unstable();
-
-        // One streaming merge over the CSR buckets: per slot, the
-        // surviving old entries (ascending point index, `is_del`
-        // filtered) interleave with this slot's additions (ascending by
-        // construction of the sort). Survivor coordinates stream from
-        // the old SoA mirror; additions read the fresh point array.
-        // Ascending-by-index per bucket is exactly the counting sort's
-        // stable order, so the result matches a from-scratch build.
-        let n_slots = self.starts.len() - 1;
-        let mut starts = Vec::with_capacity(n_slots + 1);
-        starts.push(0u32);
-        let mut entries = Vec::with_capacity(n_new);
-        let mut xs = Vec::with_capacity(n_new);
-        let mut ys = Vec::with_capacity(n_new);
-        let mut zs = Vec::with_capacity(n_new);
-        let mut ai = 0usize;
-        for s in 0..n_slots {
-            let mut oi = self.starts[s] as usize;
-            let o_end = self.starts[s + 1] as usize;
-            let a_end = ai + adds[ai..].iter().take_while(|&&(slot, _)| slot == s as u32).count();
-            let mut aj = ai;
-            loop {
-                // Skip deleted survivors eagerly so the merge head is
-                // always a live entry.
-                while oi < o_end && is_del[self.entries[oi] as usize] {
-                    oi += 1;
-                }
-                let take_old = match (oi < o_end, aj < a_end) {
-                    (false, false) => break,
-                    (true, false) => true,
-                    (false, true) => false,
-                    (true, true) => self.entries[oi] < adds[aj].1,
-                };
-                if take_old {
-                    entries.push(self.entries[oi]);
-                    xs.push(self.xs[oi]);
-                    ys.push(self.ys[oi]);
-                    zs.push(self.zs[oi]);
-                    oi += 1;
-                } else {
-                    let idx = adds[aj].1;
-                    let p = self.points[idx as usize];
-                    entries.push(idx);
-                    xs.push(p.x);
-                    ys.push(p.y);
-                    zs.push(p.z);
-                    aj += 1;
-                }
-            }
-            ai = a_end;
-            starts.push(entries.len() as u32);
-        }
-        debug_assert_eq!(entries.len(), n_new);
-        self.starts = starts;
-        self.entries = entries;
-        self.xs = xs;
-        self.ys = ys;
-        self.zs = zs;
-        // Re-tighten the stored bounds (removals can shrink them): one
-        // more linear pass over a path that is already O(n).
-        let mut min = self.points[0];
-        let mut max = self.points[0];
-        for p in &self.points {
-            min.x = min.x.min(p.x);
-            min.y = min.y.min(p.y);
-            min.z = min.z.min(p.z);
-            max.x = max.x.max(p.x);
-            max.y = max.y.max(p.y);
-            max.z = max.z.max(p.z);
-        }
-        self.bounds = Some((min, max));
-        moves
     }
 
     /// Spreads the low 21 bits of `v` to every third bit (Morton
@@ -696,8 +466,8 @@ impl GridIndex {
 }
 
 /// Applies a remove-then-insert delta to a point array with one fixed,
-/// deterministic layout — the common language between a streaming frame
-/// producer and an incrementally updated [`GridIndex`]:
+/// deterministic layout — the transformation a streaming frame producer
+/// and its consumers agree on:
 ///
 /// 1. remove positions (sorted, deduplicated) become holes,
 /// 2. holes are filled in ascending position order by the inserts in
@@ -708,8 +478,8 @@ impl GridIndex {
 ///
 /// Unremoved points below the truncation point keep their position and
 /// value; the returned `(from, to)` pairs record every relocated
-/// survivor, so callers can patch external per-point state (an index's
-/// buckets, a frame stream's ray-slot table) in `O(churn)`.
+/// survivor, so callers can patch external per-point state (a frame
+/// stream's ray-slot table) in `O(churn)`.
 ///
 /// # Panics
 ///
@@ -757,219 +527,6 @@ pub fn apply_point_delta(
     moves
 }
 
-/// A hash index over a [`VoxelCloud`]'s lattice coordinates, for point
-/// lookups whose probe order is arbitrary. (Kernel-map construction
-/// probes coordinates in ascending key order, where a merge join
-/// against the sorted cloud beats any per-probe hash — see
-/// [`Indexed::kernel_map`].)
-///
-/// Open addressing with linear probing over [`Coord::key`]'s 96-bit
-/// packed keys: no per-probe SipHash, no per-entry heap boxes, ~50%
-/// load factor.
-///
-/// # Examples
-///
-/// ```
-/// use pointacc_geom::index::CoordIndex;
-/// use pointacc_geom::{Coord, VoxelCloud};
-///
-/// let vc = VoxelCloud::from_unsorted(vec![Coord::new(0, 0, 0), Coord::new(2, 1, 0)], 1);
-/// let idx = CoordIndex::build(&vc);
-/// assert_eq!(idx.get(Coord::new(2, 1, 0)), Some(1));
-/// assert_eq!(idx.get(Coord::new(9, 9, 9)), None);
-/// ```
-pub struct CoordIndex {
-    /// Packed coordinate key per slot; [`CoordIndex::EMPTY`] marks a
-    /// never-used slot and [`CoordIndex::TOMB`] a deleted one
-    /// ([`Coord::key`] uses only the low 96 bits, so neither sentinel
-    /// can collide with a real key).
-    keys: Vec<u128>,
-    vals: Vec<u32>,
-    mask: usize,
-    len: usize,
-    /// Live tombstones: deleted slots that still break probe chains.
-    /// Counted toward occupancy so deletion churn triggers a rehash
-    /// instead of degrading every probe toward a full-table scan.
-    tombs: usize,
-}
-
-impl CoordIndex {
-    const EMPTY: u128 = u128::MAX;
-    const TOMB: u128 = u128::MAX - 1;
-
-    /// Builds the index over a cloud's (unique) coordinates, with each
-    /// coordinate mapping to its cloud position.
-    pub fn build(cloud: &VoxelCloud) -> Self {
-        let mut idx = Self::with_capacity_for(cloud.len());
-        for (i, &c) in cloud.coords().iter().enumerate() {
-            idx.insert(c.key(), i as u32);
-        }
-        idx
-    }
-
-    fn with_capacity_for(n: usize) -> Self {
-        let capacity = (2 * n).next_power_of_two().max(4);
-        CoordIndex {
-            keys: vec![Self::EMPTY; capacity],
-            vals: vec![0; capacity],
-            mask: capacity - 1,
-            len: 0,
-            tombs: 0,
-        }
-    }
-
-    /// Avalanching hash of a packed key, folded to the table's slot
-    /// range. Fibonacci multiplicative hashing on the xor-folded halves
-    /// mixes all 96 key bits into the high output bits.
-    fn slot(&self, key: u128) -> usize {
-        let folded = (key as u64) ^ ((key >> 64) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let h = folded.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (h >> 32) as usize & self.mask
-    }
-
-    fn insert(&mut self, key: u128, val: u32) {
-        let mut s = self.slot(key);
-        let mut grave: Option<usize> = None;
-        loop {
-            if self.keys[s] == Self::EMPTY {
-                // Absent: claim the earliest tombstone on the probe
-                // path (keeps chains short) or this empty slot.
-                match grave {
-                    Some(g) => {
-                        self.keys[g] = key;
-                        self.vals[g] = val;
-                        self.tombs -= 1;
-                    }
-                    None => {
-                        self.keys[s] = key;
-                        self.vals[s] = val;
-                    }
-                }
-                self.len += 1;
-                return;
-            }
-            if self.keys[s] == Self::TOMB {
-                grave.get_or_insert(s);
-            } else if self.keys[s] == key {
-                // Existing coordinate: last write wins, as with a
-                // HashMap build.
-                self.vals[s] = val;
-                return;
-            }
-            s = (s + 1) & self.mask;
-        }
-    }
-
-    /// Inserts or overwrites one coordinate's value, rehashing first if
-    /// occupancy (live keys + tombstones) would pass ~50 % load.
-    pub fn upsert(&mut self, c: Coord, val: u32) {
-        if (self.len + self.tombs + 1) * 2 > self.keys.len() {
-            self.rehash();
-        }
-        self.insert(c.key(), val);
-    }
-
-    /// Removes `c`, returning its value if it was present. The slot
-    /// becomes a tombstone (probe chains through it stay intact);
-    /// tombstone buildup is reclaimed by the next [`CoordIndex::upsert`]
-    /// rehash.
-    pub fn remove(&mut self, c: Coord) -> Option<u32> {
-        let key = c.key();
-        let mut s = self.slot(key);
-        loop {
-            if self.keys[s] == key {
-                self.keys[s] = Self::TOMB;
-                self.len -= 1;
-                self.tombs += 1;
-                return Some(self.vals[s]);
-            }
-            if self.keys[s] == Self::EMPTY {
-                return None;
-            }
-            s = (s + 1) & self.mask;
-        }
-    }
-
-    /// Applies a coordinate delta: removes first, then upserts — so a
-    /// coordinate both removed and (re)inserted ends up present with
-    /// its new value, matching [`GridIndex::apply_delta`]'s
-    /// remove-then-insert order. Cost scales with the delta, not the
-    /// table (amortized over rehashes). Equivalence to a from-scratch
-    /// [`CoordIndex::build`] is property-tested in `tests/streaming.rs`.
-    pub fn apply_delta(&mut self, removes: &[Coord], inserts: &[(Coord, u32)]) {
-        for &c in removes {
-            self.remove(c);
-        }
-        for &(c, v) in inserts {
-            self.upsert(c, v);
-        }
-    }
-
-    /// Rebuilds the table from its live entries at ~50 % load for the
-    /// current size, dropping every tombstone.
-    fn rehash(&mut self) {
-        let mut fresh = Self::with_capacity_for(self.len + 1);
-        for (i, &key) in self.keys.iter().enumerate() {
-            if key != Self::EMPTY && key != Self::TOMB {
-                fresh.insert(key, self.vals[i]);
-            }
-        }
-        *self = fresh;
-    }
-
-    /// Index of `c` in the cloud, if present.
-    pub fn get(&self, c: Coord) -> Option<u32> {
-        let key = c.key();
-        let mut s = self.slot(key);
-        loop {
-            if self.keys[s] == key {
-                return Some(self.vals[s]);
-            }
-            if self.keys[s] == Self::EMPTY {
-                return None;
-            }
-            s = (s + 1) & self.mask;
-        }
-    }
-
-    /// Kernel mapping probed through this index instead of a freshly
-    /// hashed table: the exact loop structure of
-    /// [`golden::kernel_map_hash`] (offset-major, outputs ascending per
-    /// weight group), so when the stored values equal the input cloud's
-    /// positions the result is **bit-identical** to the golden table —
-    /// an incrementally maintained index can serve kernel maps without
-    /// re-hashing the full cloud each frame. `stride` is the input
-    /// cloud's stride (the kernel's dilation).
-    pub fn kernel_map_probe(
-        &self,
-        stride: i32,
-        output: &VoxelCloud,
-        kernel_size: usize,
-    ) -> MapTable {
-        let offsets = golden::kernel_offsets(kernel_size);
-        let mut entries = Vec::new();
-        for (w, &d) in offsets.iter().enumerate() {
-            let dd = d.scale(stride);
-            for (qi, &q) in output.coords().iter().enumerate() {
-                if let Some(pi) = self.get(q.offset(dd)) {
-                    entries.push(crate::MapEntry::new(pi, qi as u32, w as u16));
-                }
-            }
-        }
-        MapTable::from_entries(entries, offsets.len())
-    }
-
-    /// Number of indexed coordinates.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
 /// One implementation of every mapping operation (paper §2.1): farthest
 /// point sampling, k-nearest-neighbors, ball query, and kernel mapping.
 ///
@@ -994,21 +551,6 @@ pub trait MappingBackend: Sync {
     ///
     /// Panics if `m > points.len()`.
     fn farthest_point_sampling(&self, points: &PointSet, m: usize) -> Vec<usize>;
-
-    /// Approximate farthest point sampling: same signature and selection
-    /// invariants as [`MappingBackend::farthest_point_sampling`] (starts
-    /// at index 0, returns `m` distinct indices, panics if
-    /// `m > points.len()`), but the sampled set may deviate from exact
-    /// FPS within a bounded coverage radius in exchange for fewer
-    /// distance evaluations. The default implementation **is** exact
-    /// FPS; backends that override it (grid-stratified seeding in
-    /// [`Indexed`]) must keep the coverage radius within
-    /// `2·r_exact + 3·√3·cell` of the exact sample (see
-    /// [`fps_stratified`]). Callers opt in explicitly — the executor
-    /// only routes here under its `ExecOptions::approx_fps` knob.
-    fn fps_approx(&self, points: &PointSet, m: usize) -> Vec<usize> {
-        self.farthest_point_sampling(points, m)
-    }
 
     /// k-nearest-neighbors of every query: ≤ `k` indices per query in
     /// ascending `(dist², index)` order.
@@ -1155,35 +697,6 @@ impl MappingBackend for Indexed {
             return fps_pruned(points, m).0;
         }
         golden::farthest_point_sampling(points, m)
-    }
-
-    /// Grid-stratified approximate FPS ([`fps_stratified`]); falls back
-    /// to exact sampling whenever stratification cannot pay for itself
-    /// (small clouds, dense sampling ratios, degenerate bounding boxes).
-    /// The bounding box is scanned **once** and shared between the
-    /// stratifier and the exact fallback's grid build.
-    fn fps_approx(&self, points: &PointSet, m: usize) -> Vec<usize> {
-        assert!(m <= points.len(), "cannot sample {m} from {} points", points.len());
-        let n = points.len();
-        if n >= FPS_APPROX_MIN && m >= 1 && 2 * m < n {
-            let Some(bounds) = points.bounds() else {
-                return self.farthest_point_sampling(points, m);
-            };
-            if let Some((sel, _cell)) = fps_stratified_with_bounds(points, m, bounds) {
-                return sel;
-            }
-            // Exact fallback: reuse the same bounds for the grid build.
-            let workers = fps_workers(worker_threads(), n, m);
-            if workers > 1 {
-                return fps_parallel(points, m, workers);
-            }
-            if (n as u64).saturating_mul(m as u64) >= FPS_PRUNE_WORK && m >= 2 {
-                let index = GridIndex::build_with_bounds(points.points(), bounds);
-                return fps_pruned_with_index(&index, m).0;
-            }
-            return golden::farthest_point_sampling(points, m);
-        }
-        self.farthest_point_sampling(points, m)
     }
 
     fn k_nearest_neighbors(
@@ -1468,94 +981,6 @@ fn fps_workers(available: usize, n: usize, m: usize) -> usize {
     }
 }
 
-/// Grid-stratified approximate farthest point sampling: bins the cloud
-/// into a uniform grid sized so the occupied cells oversample `m` by
-/// ~1.2×, takes the lowest-index point of each occupied cell as its
-/// representative, and runs **exact** FPS over the representatives —
-/// `O(n + 1.2m·m)` distance evaluations instead of `O(n·m)`.
-///
-/// Selection invariants match exact FPS: the representatives are sorted
-/// by original index, so point 0 (always the lowest index in its cell)
-/// is representative 0 and the selection starts there; all returned
-/// indices are distinct.
-///
-/// Error bound (property-tested in `tests/mapping_backends.rs`): every
-/// point is within one cell diagonal `√3·cell` of its representative,
-/// and FPS is a 2-approximation of the optimal k-center cost, so the
-/// coverage radius of the approximate sample is at most
-/// `2·r_exact + 3·√3·cell`, where `r_exact` is the exact sample's
-/// coverage radius. The chosen `cell` is returned alongside the
-/// selection so callers can evaluate the bound.
-///
-/// Returns `None` when stratification degenerates — non-finite or
-/// zero-volume bounding box, or too few occupied cells to pick `m`
-/// distinct points — and the caller should fall back to exact FPS.
-pub fn fps_stratified(points: &PointSet, m: usize) -> Option<(Vec<usize>, f32)> {
-    fps_stratified_with_bounds(points, m, points.bounds()?)
-}
-
-/// [`fps_stratified`] reusing an already-computed tight bounding box —
-/// from [`PointSet::bounds`] or [`GridIndex::bounds`] when an index is
-/// already built for the cloud — so callers (notably per-frame
-/// streaming sampling) do not re-scan the cloud extent on every call.
-pub fn fps_stratified_with_bounds(
-    points: &PointSet,
-    m: usize,
-    (min, max): (Point3, Point3),
-) -> Option<(Vec<usize>, f32)> {
-    let n = points.len();
-    if m == 0 || m > n {
-        return None;
-    }
-    let pts = points.points();
-    let ext = [max.x - min.x, max.y - min.y, max.z - min.z];
-    if !ext.iter().all(|e| e.is_finite()) {
-        return None;
-    }
-    let vol = ext.iter().map(|&e| (e as f64).max(f64::MIN_POSITIVE)).product::<f64>();
-    let target = (m as f64 * 1.2).min(n as f64);
-    let mut cell = (vol / target).cbrt() as f32;
-    if !(cell.is_finite() && cell > 0.0) {
-        return None;
-    }
-    // Occupancy is data-dependent: shrink the cell by ∛2 per retry —
-    // doubling the expected occupancy each step, so the accepted grid
-    // overshoots the target (and with it the rep-FPS cost, which scales
-    // with the rep count) by at most ~2× — until enough cells are
-    // occupied to oversample m. Bounded retries keep the dense
-    // cell-count explosion of clustered clouds in check.
-    for _ in 0..18 {
-        let dims = ext.map(|e| ((e / cell).floor() as i64 + 1).max(1) as usize);
-        let n_cells = dims[0].checked_mul(dims[1]).and_then(|xy| xy.checked_mul(dims[2]))?;
-        if n_cells > 8 * n + 64 {
-            return None; // cell array no longer O(n); give up cleanly
-        }
-        // Lowest point index per occupied cell = its representative.
-        let mut rep_of_cell: Vec<u32> = vec![u32::MAX; n_cells];
-        for (i, p) in pts.iter().enumerate() {
-            let cx = (((p.x - min.x) / cell).floor() as i64).clamp(0, dims[0] as i64 - 1) as usize;
-            let cy = (((p.y - min.y) / cell).floor() as i64).clamp(0, dims[1] as i64 - 1) as usize;
-            let cz = (((p.z - min.z) / cell).floor() as i64).clamp(0, dims[2] as i64 - 1) as usize;
-            let b = (cx * dims[1] + cy) * dims[2] + cz;
-            rep_of_cell[b] = rep_of_cell[b].min(i as u32);
-        }
-        let mut reps: Vec<u32> = rep_of_cell.into_iter().filter(|&r| r != u32::MAX).collect();
-        if reps.len() >= target as usize || cell <= f32::MIN_POSITIVE {
-            if reps.len() < m {
-                return None;
-            }
-            // Ascending original index ⇒ reps[0] is point 0, the exact
-            // policy's starting point.
-            reps.sort_unstable();
-            let rep_points: PointSet = reps.iter().map(|&r| points.point(r as usize)).collect();
-            let sel = INDEXED.farthest_point_sampling(&rep_points, m);
-            return Some((sel.into_iter().map(|i| reps[i] as usize).collect(), cell));
-        }
-        cell *= 0.793_700_5; // 2^(-1/3): halves the expected cell volume
-    }
-    None
-}
-
 /// One contiguous run of Morton-ordered bucket slots with the tight
 /// AABB of its member points — the pruning granule of [`fps_pruned`].
 struct FpsTile {
@@ -1700,8 +1125,9 @@ fn fps_tile_len(n: usize) -> usize {
     ((n as f64).sqrt() as usize).clamp(16, 4096)
 }
 
-/// Bucket-pruned **exact** farthest point sampling over a prebuilt
-/// [`GridIndex`].
+/// Bucket-pruned **exact** farthest point sampling over a [`GridIndex`]
+/// of the cloud (its `O(n)` build amortizes over the `m` pruned
+/// iterations).
 ///
 /// The running min-distance array lives in Morton slot order; tiles of
 /// ~√n consecutive slots cache their arg-max key (max dmin, ties to the
@@ -1714,14 +1140,15 @@ fn fps_tile_len(n: usize) -> usize {
 /// input (property-tested on adversarial clouds, including +∞
 /// coordinates, in `tests/mapping_backends.rs`); only the amount of
 /// scanned work changes, and that is reported in [`FpsWork`].
-pub fn fps_pruned_with_index(index: &GridIndex, m: usize) -> (Vec<usize>, FpsWork) {
-    let n = index.len();
+pub fn fps_pruned(points: &PointSet, m: usize) -> (Vec<usize>, FpsWork) {
+    let n = points.len();
     let mut work =
         FpsWork { scanned: 0, dense: (n as u64).saturating_mul(m.saturating_sub(1) as u64) };
     if m == 0 || n == 0 {
         return (Vec::new(), work);
     }
-    let mut chunk = FpsChunk::new(index, 0, n, fps_tile_len(n));
+    let index = GridIndex::build(points.points());
+    let mut chunk = FpsChunk::new(&index, 0, n, fps_tile_len(n));
     let mut selected = Vec::with_capacity(m);
     let mut current = 0usize;
     selected.push(current);
@@ -1734,14 +1161,8 @@ pub fn fps_pruned_with_index(index: &GridIndex, m: usize) -> (Vec<usize>, FpsWor
     (selected, work)
 }
 
-/// [`fps_pruned_with_index`] over a bare cloud: builds the index first
-/// (`O(n)`, amortized over the `m` pruned iterations).
-pub fn fps_pruned(points: &PointSet, m: usize) -> (Vec<usize>, FpsWork) {
-    fps_pruned_with_index(&GridIndex::build(points.points()), m)
-}
-
 /// Exact chunk-parallel farthest point sampling: the pruned algorithm
-/// of [`fps_pruned_with_index`] with the Morton slot range split into
+/// of [`fps_pruned`] with the Morton slot range split into
 /// per-worker chunks (tile boundaries never straddle chunks).
 ///
 /// Each iteration is one persistent-pool round ([`parallel_map_with`]):
@@ -1978,33 +1399,6 @@ mod tests {
     }
 
     #[test]
-    fn fps_approx_selection_invariants() {
-        let pts = pseudo_points(4096, 23);
-        let m = 256;
-        let sel = INDEXED.fps_approx(&pts, m);
-        assert_eq!(sel.len(), m);
-        assert_eq!(sel[0], 0, "selection starts at index 0, like exact FPS");
-        let mut uniq = sel.clone();
-        uniq.sort_unstable();
-        uniq.dedup();
-        assert_eq!(uniq.len(), m, "selected indices are distinct");
-        assert!(uniq.iter().all(|&i| i < pts.len()));
-    }
-
-    #[test]
-    fn fps_approx_falls_back_to_exact() {
-        // Small clouds: stratification cannot pay for itself.
-        let small = pseudo_points(256, 9);
-        assert_eq!(INDEXED.fps_approx(&small, 64), GOLDEN.farthest_point_sampling(&small, 64));
-        // The trait default is exact FPS.
-        assert_eq!(GOLDEN.fps_approx(&small, 64), GOLDEN.farthest_point_sampling(&small, 64));
-        // Dense sampling ratios (2m ≥ n): representatives would not
-        // oversample the target, so exact runs instead.
-        let pts = pseudo_points(4096, 31);
-        assert_eq!(INDEXED.fps_approx(&pts, 3000), GOLDEN.farthest_point_sampling(&pts, 3000));
-    }
-
-    #[test]
     fn pruned_fps_is_bit_identical_to_golden_and_prunes_work() {
         let pts = pseudo_points(4096, 41);
         for m in [1usize, 2, 37, 300] {
@@ -2037,44 +1431,6 @@ mod tests {
     }
 
     #[test]
-    fn grid_index_bounds_match_point_set_bounds_through_deltas() {
-        let pts = pseudo_points(300, 8);
-        let mut idx = GridIndex::build(pts.points());
-        assert_eq!(idx.bounds(), pts.bounds());
-        assert_eq!(GridIndex::build(&[]).bounds(), None);
-        // Bounds stay tight through a patched delta (remove the current
-        // extremes, insert interior points).
-        let inserts = [Point3::new(0.1, 0.1, 0.1), Point3::new(0.2, 0.2, 0.2)];
-        idx.apply_delta(&[0, 7, 19], &inserts);
-        let live: PointSet = idx.points().iter().copied().collect();
-        assert_eq!(idx.bounds(), live.bounds());
-    }
-
-    #[test]
-    fn stratified_with_bounds_matches_the_scanning_entry() {
-        let pts = pseudo_points(4096, 55);
-        let bounds = pts.bounds().expect("non-empty");
-        assert_eq!(fps_stratified(&pts, 200), fps_stratified_with_bounds(&pts, 200, bounds));
-        let idx = GridIndex::build(pts.points());
-        assert_eq!(
-            fps_stratified_with_bounds(&pts, 200, idx.bounds().expect("non-empty")),
-            fps_stratified(&pts, 200),
-            "GridIndex bounds are a drop-in for the scan"
-        );
-    }
-
-    #[test]
-    fn build_with_bounds_is_identical_to_build() {
-        let pts = pseudo_points(500, 21);
-        let a = GridIndex::build(pts.points());
-        let b = GridIndex::build_with_bounds(pts.points(), pts.bounds().expect("non-empty"));
-        assert_eq!(a.bounds(), b.bounds());
-        let q = Point3::new(0.3, 0.4, 0.5);
-        assert_eq!(a.knn(q, 7), b.knn(q, 7));
-        assert_eq!(fps_pruned_with_index(&a, 64), fps_pruned_with_index(&b, 64));
-    }
-
-    #[test]
     fn morton_slots_are_a_permutation() {
         let slots = GridIndex::morton_slots([3, 4, 5]);
         let mut sorted = slots.clone();
@@ -2101,69 +1457,6 @@ mod tests {
     }
 
     #[test]
-    fn coord_index_roundtrip() {
-        let vc = pseudo_cloud(60, 2, 2);
-        let idx = CoordIndex::build(&vc);
-        assert_eq!(idx.len(), vc.len());
-        assert!(!idx.is_empty());
-        for (i, &c) in vc.coords().iter().enumerate() {
-            assert_eq!(idx.get(c), Some(i as u32));
-        }
-    }
-
-    #[test]
-    fn coord_index_remove_and_upsert() {
-        let vc = pseudo_cloud(40, 13, 1);
-        let mut idx = CoordIndex::build(&vc);
-        let victim = vc.coords()[7];
-        assert!(idx.remove(victim).is_some());
-        assert_eq!(idx.get(victim), None);
-        assert_eq!(idx.len(), vc.len() - 1);
-        // Probe chains through the tombstone stay intact.
-        for (i, &c) in vc.coords().iter().enumerate() {
-            if c != victim {
-                assert_eq!(idx.get(c), Some(i as u32), "coord {i} lost after remove");
-            }
-        }
-        // Re-inserting reclaims the tombstone; removing a missing
-        // coordinate is a no-op.
-        idx.upsert(victim, 99);
-        assert_eq!(idx.get(victim), Some(99));
-        assert_eq!(idx.len(), vc.len());
-        assert_eq!(idx.remove(Coord::new(1000, 1000, 1000)), None);
-    }
-
-    #[test]
-    fn coord_index_survives_churn_rehash() {
-        // Heavy remove/insert churn forces tombstone buildup past the
-        // load threshold: every probe must still terminate and resolve.
-        let mut idx = CoordIndex::with_capacity_for(8);
-        for round in 0..200i32 {
-            idx.upsert(Coord::new(round, -round, 1), round as u32);
-            if round >= 8 {
-                idx.remove(Coord::new(round - 8, -(round - 8), 1));
-            }
-        }
-        assert_eq!(idx.len(), 8);
-        for round in 192..200i32 {
-            assert_eq!(idx.get(Coord::new(round, -round, 1)), Some(round as u32));
-        }
-        assert_eq!(idx.get(Coord::new(0, 0, 1)), None);
-    }
-
-    #[test]
-    fn coord_index_probe_matches_golden_kernel_map() {
-        let cloud = pseudo_cloud(120, 21, 1);
-        let (coarse, _) = cloud.downsample(2);
-        let idx = CoordIndex::build(&cloud);
-        for ks in [2usize, 3] {
-            let got = idx.kernel_map_probe(cloud.stride(), &coarse, ks);
-            let want = golden::kernel_map_hash(&cloud, &coarse, ks);
-            assert_eq!(got.to_entries(), want.to_entries(), "kernel_size={ks}");
-        }
-    }
-
-    #[test]
     fn apply_point_delta_layout() {
         let p = |i: i32| Point3::new(i as f32, 0.0, 0.0);
         // More inserts than holes: holes filled in order, spill appended.
@@ -2185,47 +1478,5 @@ mod tests {
         let mut pts: Vec<Point3> = (0..4).map(p).collect();
         assert!(apply_point_delta(&mut pts, &[], &[]).is_empty());
         assert_eq!(pts.len(), 4);
-    }
-
-    #[test]
-    fn grid_apply_delta_matches_rebuild() {
-        let base = pseudo_points(400, 41);
-        let mut live = GridIndex::build(base.points());
-        let mut mirror: Vec<Point3> = base.points().to_vec();
-        let extra = pseudo_points(64, 43);
-        let queries = pseudo_points(25, 47);
-        let steps = [
-            (vec![3u32, 9, 9, 250], &extra.points()[..8]),
-            (vec![], &extra.points()[8..8]), // empty delta
-            ((0..32u32).collect::<Vec<_>>(), &extra.points()[8..12]), // shrink
-            (vec![0, 1, 2], &extra.points()[12..64]), // grow
-        ];
-        for (step, (removes, inserts)) in steps.into_iter().enumerate() {
-            live.apply_delta(&removes, inserts);
-            apply_point_delta(&mut mirror, &removes, inserts);
-            let fresh = GridIndex::build(&mirror);
-            assert_eq!(live.points(), fresh.points(), "step {step}: arrays diverged");
-            for &q in queries.points() {
-                assert_eq!(live.knn(q, 7), fresh.knn(q, 7), "step {step}");
-                assert_eq!(live.ball(q, 9.0, 6), fresh.ball(q, 9.0, 6), "step {step}");
-            }
-        }
-    }
-
-    #[test]
-    fn grid_apply_delta_outside_coverage_rebuilds_correctly() {
-        let base = pseudo_points(200, 51);
-        let mut live = GridIndex::build(base.points());
-        // Far outside the built bounding box: must take the rebuild
-        // path, and queries must still match a from-scratch build.
-        let outlier = Point3::new(1e4, -1e4, 1e4);
-        live.apply_delta(&[5], &[outlier]);
-        let mut mirror: Vec<Point3> = base.points().to_vec();
-        apply_point_delta(&mut mirror, &[5], &[outlier]);
-        let fresh = GridIndex::build(&mirror);
-        for &q in pseudo_points(10, 53).points() {
-            assert_eq!(live.knn(q, 5), fresh.knn(q, 5));
-        }
-        assert_eq!(live.knn(outlier, 1), fresh.knn(outlier, 1));
     }
 }

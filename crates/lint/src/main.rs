@@ -17,7 +17,7 @@
 //! | `wall-clock` | no `Instant::now` / `SystemTime::now` outside `Clock` impls and the criterion shim — timing must flow through injectable clocks |
 //! | `unsafe` | no `unsafe` code anywhere (the workspace also denies it at the compiler level) |
 //! | `panic` | no `panic!` / `todo!` / `unimplemented!` in non-test library code — surface typed errors instead |
-//! | `thread-spawn` | no `thread::spawn` / `thread::scope` in non-test library code outside the `pointacc_geom::par` pool and the futures shim — the persistent pool is the single scheduler |
+//! | `thread-spawn` | no `thread::spawn` / `thread::scope` in non-test library code outside the `pointacc_geom::par` pool — the persistent pool is the single scheduler |
 //! | `allow-attr` | no `#[allow(` without a `// lint:` justification on the same or preceding line |
 //!
 //! # Allowlisting
@@ -34,9 +34,8 @@
 //! `crates/bench/src/lib.rs` for `env-var` (the read-once accessors),
 //! `crates/shims/criterion/src/lib.rs` for `wall-clock` (the benchmark
 //! shim is a timing source by definition), and `crates/geom/src/par.rs`
-//! plus `crates/shims/futures/src/lib.rs` for `thread-spawn` (the
-//! worker pool and the executor shim are the two legitimate thread
-//! sources).
+//! for `thread-spawn` (the worker pool is the one legitimate thread
+//! source).
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -275,10 +274,7 @@ fn allowlisted(rule: &str, path: &str) -> bool {
     match rule {
         "env-var" => path.ends_with("crates/bench/src/lib.rs"),
         "wall-clock" => path.ends_with("crates/shims/criterion/src/lib.rs"),
-        "thread-spawn" => {
-            path.ends_with("crates/geom/src/par.rs")
-                || path.ends_with("crates/shims/futures/src/lib.rs")
-        }
+        "thread-spawn" => path.ends_with("crates/geom/src/par.rs"),
         _ => false,
     }
 }
@@ -467,9 +463,12 @@ mod tests {
     fn thread_spawn_flags_library_code_but_not_the_pool_or_tests() {
         let src = "fn f() {\n    let h = std::thread::spawn(|| 1);\n    std::thread::scope(|s| { s.spawn(|| 2); });\n}\n";
         assert_eq!(rules(LIB, src), vec![("thread-spawn", 2), ("thread-spawn", 3)]);
-        // The worker pool and the executor shim are the designated sites.
+        // The worker pool is the one designated site; shims get no pass.
         assert_eq!(rules("crates/geom/src/par.rs", src), vec![]);
-        assert_eq!(rules("crates/shims/futures/src/lib.rs", src), vec![]);
+        assert_eq!(
+            rules("crates/shims/criterion/src/lib.rs", src),
+            vec![("thread-spawn", 2), ("thread-spawn", 3)]
+        );
         // Test-only helpers may spawn raw threads.
         let test_src = "#[cfg(test)]\nmod tests {\n    fn t() { std::thread::spawn(|| 1).join().unwrap(); }\n}\n";
         assert_eq!(rules(LIB, test_src), vec![]);

@@ -41,18 +41,11 @@ pub enum ExecMode {
 }
 
 /// Execution tuning knobs, orthogonal to fidelity ([`ExecMode`]) and the
-/// weight seed. The default is the exact, auto-threaded configuration;
-/// every knob here trades nothing away silently — approximate FPS must
-/// be opted into explicitly, and worker-count overrides change
-/// wall-clock only (the conv reduction is deterministic by
-/// construction).
+/// weight seed. The default is the auto-threaded configuration; a
+/// worker-count override changes wall-clock only (the conv reduction is
+/// deterministic by construction).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExecOptions {
-    /// Run SetAbstraction downsampling through the backend's
-    /// [`MappingBackend::fps_approx`] instead of exact FPS. Off by
-    /// default; when on, sampled centroids may differ from exact FPS
-    /// within the backend's documented coverage-radius bound.
-    pub approx_fps: bool,
     /// Worker-thread count for the parallel gather-GEMM-scatter path
     /// (`None` = the process-wide [`worker_threads`] count). `Some(1)`
     /// forces the serial path; any value yields bit-identical features.
@@ -558,11 +551,7 @@ impl Executor {
         let (centroids, nbrs, mapping, k) = match spec {
             Some((n_out, radius, k)) => {
                 let n_out = n_out.min(pts.len());
-                let sel = if self.options.approx_fps {
-                    self.backend.fps_approx(&pts, n_out)
-                } else {
-                    self.backend.farthest_point_sampling(&pts, n_out)
-                };
+                let sel = self.backend.farthest_point_sampling(&pts, n_out);
                 let centroids = pts.select(&sel);
                 let nbrs = self.backend.ball_query_padded(&pts, &centroids, radius * radius, k);
                 let mapping = vec![

@@ -5,20 +5,9 @@
 //! contract that lets the executor default to `Indexed` without
 //! perturbing traces, golden snapshots, or functional outputs.
 
-use pointacc_geom::index::{fps_pruned, fps_stratified, MappingBackend, GOLDEN, INDEXED};
+use pointacc_geom::index::{fps_pruned, MappingBackend, GOLDEN, INDEXED};
 use pointacc_geom::{Coord, Point3, PointSet, VoxelCloud};
 use proptest::prelude::*;
-
-/// Coverage radius of a sample: the largest distance from any cloud
-/// point to its nearest selected point (the k-center objective FPS
-/// greedily minimizes).
-fn coverage_radius(pts: &PointSet, sel: &[usize]) -> f64 {
-    pts.points()
-        .iter()
-        .map(|&p| sel.iter().map(|&s| pts.point(s).dist2(p) as f64).fold(f64::INFINITY, f64::min))
-        .fold(0.0f64, f64::max)
-        .sqrt()
-}
 
 fn arb_points(min_n: usize, max_n: usize) -> impl Strategy<Value = PointSet> {
     prop::collection::vec((-50.0f32..50.0, -50.0f32..50.0, -50.0f32..50.0), min_n..max_n)
@@ -84,18 +73,6 @@ proptest! {
             INDEXED.farthest_point_sampling(&pts, m),
             GOLDEN.farthest_point_sampling(&pts, m)
         );
-    }
-
-    #[test]
-    fn fps_approx_equals_exact_below_the_stratification_gate(
-        pts in arb_points(1, 150),
-        frac in 0.0f64..1.0,
-    ) {
-        // Small clouds always take the exact fallback, so the opt-in
-        // method is bit-identical to exact FPS there — on both backends.
-        let m = ((pts.len() as f64 * frac) as usize).min(pts.len());
-        prop_assert_eq!(INDEXED.fps_approx(&pts, m), GOLDEN.farthest_point_sampling(&pts, m));
-        prop_assert_eq!(GOLDEN.fps_approx(&pts, m), GOLDEN.farthest_point_sampling(&pts, m));
     }
 
     // The bucket-pruned exact FPS must match the golden serial scan
@@ -224,49 +201,6 @@ proptest! {
             INDEXED.ball_query_padded(&pts, &pts, 0.01, k),
             GOLDEN.ball_query_padded(&pts, &pts, 0.01, k)
         );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    // Golden-checked approx-FPS tolerance: the coverage radius of the
-    // stratified sample must stay within 2·r_exact + 3·√3·cell of the
-    // exact sample's — the analytical bound from (a) every point lying
-    // within one cell diagonal of its representative and (b) FPS being
-    // a 2-approximation of the optimal k-center cost.
-    #[test]
-    fn approx_fps_coverage_within_golden_checked_bound(
-        seed in 1u64..u64::MAX,
-        n in 2048usize..3200,
-        frac_m in 0.02f64..0.2,
-    ) {
-        let mut x = seed | 1;
-        let mut step = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            (x % 4096) as f32 / 64.0 - 32.0
-        };
-        let pts: PointSet = (0..n).map(|_| Point3::new(step(), step(), step())).collect();
-        let m = ((n as f64 * frac_m) as usize).max(8);
-        if let Some((sel, cell)) = fps_stratified(&pts, m) {
-            prop_assert_eq!(sel.len(), m);
-            prop_assert_eq!(sel[0], 0);
-            let mut uniq = sel.clone();
-            uniq.sort_unstable();
-            uniq.dedup();
-            prop_assert_eq!(uniq.len(), m);
-            let r_exact = coverage_radius(&pts, &GOLDEN.farthest_point_sampling(&pts, m));
-            let r_approx = coverage_radius(&pts, &sel);
-            let bound = 2.0 * r_exact + 3.0 * f64::from(cell) * 3f64.sqrt() + 1e-4;
-            prop_assert!(
-                r_approx <= bound,
-                "coverage {r_approx} exceeds bound {bound} (exact {r_exact}, cell {cell})"
-            );
-        }
-        // None = degenerate stratification; fps_approx falls back to
-        // exact, which the small-cloud property already pins down.
     }
 }
 

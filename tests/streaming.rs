@@ -1,9 +1,8 @@
 //! Streaming scenario family: the multi-frame LiDAR pipeline end to
-//! end — [`FrameStream`] determinism and overlap, incremental
-//! [`GridIndex`] / [`CoordIndex`] deltas property-tested bit-identical
-//! to full rebuilds, cross-frame trace reuse pinned to a fresh
-//! compile's fingerprint, and the [`serve_stream`] SLO scenario on a
-//! simulated clock.
+//! end — [`FrameStream`] determinism and overlap, [`GridIndex`] kNN on
+//! far-outside and degenerate queries against the golden ranking,
+//! cross-frame trace reuse pinned to a fresh compile's fingerprint, and
+//! the [`serve_stream`] SLO scenario on a simulated clock.
 
 use std::time::Duration;
 
@@ -12,8 +11,8 @@ use pointacc_bench::frontend::SimClock;
 use pointacc_bench::stream::{serve_stream, StreamOptions};
 use pointacc_data::lidar::{FrameStream, ScanProfile};
 use pointacc_geom::golden;
-use pointacc_geom::index::{apply_point_delta, CoordIndex, GridIndex};
-use pointacc_geom::{Coord, Point3, PointSet, VoxelCloud};
+use pointacc_geom::index::GridIndex;
+use pointacc_geom::{Point3, PointSet};
 use pointacc_nn::stream::{ReuseOutcome, StreamingTracer};
 use pointacc_nn::{zoo, ExecMode, Executor};
 use proptest::prelude::*;
@@ -21,29 +20,6 @@ use proptest::prelude::*;
 // ---------------------------------------------------------------------
 // FrameStream scenarios
 // ---------------------------------------------------------------------
-
-#[test]
-fn frame_stream_deltas_drive_an_incremental_grid_index() {
-    let mut stream = FrameStream::new(11, 3_000, ScanProfile::semantic_kitti());
-    let first = stream.next_frame();
-    let mut live = GridIndex::build(first.points.points());
-    for _ in 0..5 {
-        let frame = stream.next_frame();
-        live.apply_delta(&frame.removed, &frame.inserted);
-        assert_eq!(live.points(), frame.points.points(), "incremental index diverged");
-        let rebuilt = GridIndex::build(frame.points.points());
-        for qi in (0..frame.points.len()).step_by(97) {
-            let q = frame.points.point(qi);
-            assert_eq!(live.knn(q, 9), rebuilt.knn(q, 9), "knn diverged at frame {}", frame.index);
-            assert_eq!(
-                live.ball(q, 4.0, 16),
-                rebuilt.ball(q, 4.0, 16),
-                "ball diverged at frame {}",
-                frame.index
-            );
-        }
-    }
-}
 
 #[test]
 fn frame_stream_is_reproducible_and_overlapping() {
@@ -64,7 +40,7 @@ fn frame_stream_is_reproducible_and_overlapping() {
 }
 
 // ---------------------------------------------------------------------
-// Incremental-index equivalence properties
+// Grid-index kNN against the golden ranking
 // ---------------------------------------------------------------------
 
 /// A deterministic pseudo-cloud of `n` points in a ±30 m box.
@@ -81,103 +57,8 @@ fn cloud(n: usize, seed: u64) -> Vec<Point3> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// `GridIndex::apply_delta` sequences — including empty deltas and
-    /// full turnover — answer knn and ball queries bit-identically to a
-    /// freshly rebuilt index over the same (mirrored) point array.
-    #[test]
-    fn grid_apply_delta_equals_rebuild(
-        n0 in 8usize..120,
-        seed in 1u64..5_000,
-        steps in prop::collection::vec(
-            (0usize..40, 0usize..40, prop::sample::select(vec![false, true])),
-            1..5,
-        ),
-    ) {
-        let mut mirror = cloud(n0, seed);
-        let mut live = GridIndex::build(&mirror);
-        for (si, &(n_rm, n_ins, full_turnover)) in steps.iter().enumerate() {
-            let n = mirror.len();
-            let (removes, inserts) = if full_turnover {
-                let removes: Vec<u32> = (0..n as u32).collect();
-                (removes, cloud(n.max(1), seed ^ (si as u64 + 99)))
-            } else {
-                let removes: Vec<u32> =
-                    (0..n as u32).filter(|i| (i * 7 + si as u32) % 11 < n_rm as u32 % 11).collect();
-                (removes, cloud(n_ins, seed ^ (si as u64 + 7)))
-            };
-            live.apply_delta(&removes, &inserts);
-            apply_point_delta(&mut mirror, &removes, &inserts);
-            prop_assert_eq!(live.points(), mirror.as_slice());
-            let rebuilt = GridIndex::build(&mirror);
-            for qi in 0..mirror.len().min(24) {
-                let q = mirror[qi * 113 % mirror.len()];
-                prop_assert_eq!(live.knn(q, 5), rebuilt.knn(q, 5));
-                prop_assert_eq!(live.ball(q, 16.0, 12), rebuilt.ball(q, 16.0, 12));
-            }
-        }
-    }
-
-    /// `CoordIndex::apply_delta` (removes + upserts, across tombstone
-    /// churn and rehashes) probes kernel maps bit-identically to an
-    /// index rebuilt from the surviving voxel set — and both match the
-    /// golden hash-join. Empty deltas and full turnover included.
-    #[test]
-    fn coord_apply_delta_equals_rebuild(
-        n0 in 4usize..80,
-        seed in 1u64..5_000,
-        rounds in 1usize..4,
-        full_turnover in prop::sample::select(vec![false, true]),
-    ) {
-        let vox = |k: usize, s: u64| -> Vec<Coord> {
-            cloud(k, s).iter().map(|p| p.voxelize(1.0)).collect()
-        };
-        let base = VoxelCloud::from_unsorted(vox(n0, seed), 1);
-        let mut live = CoordIndex::build(&base);
-        let mut coords: Vec<Coord> = base.coords().to_vec();
-        for r in 0..rounds {
-            let removes: Vec<Coord> = if full_turnover {
-                coords.clone()
-            } else {
-                coords.iter().copied().step_by(3).collect()
-            };
-            coords.retain(|c| !removes.contains(c));
-            let fresh = VoxelCloud::from_unsorted(vox(n0 / 2 + 1, seed ^ (r as u64 + 31)), 1);
-            let mut merged: Vec<Coord> = coords.clone();
-            for &c in fresh.coords() {
-                if !merged.contains(&c) {
-                    merged.push(c);
-                }
-            }
-            merged.sort();
-            let rebuilt_cloud = VoxelCloud::from_sorted(merged.clone(), 1);
-            let inserts: Vec<(Coord, u32)> = rebuilt_cloud
-                .coords()
-                .iter()
-                .enumerate()
-                .map(|(i, &c)| (c, i as u32))
-                .collect();
-            // Re-number every surviving coordinate to its slot in the
-            // rebuilt cloud (upsert), as a streaming pipeline would.
-            live.apply_delta(&removes, &inserts);
-            coords = merged;
-            let rebuilt = CoordIndex::build(&rebuilt_cloud);
-            let (coarse, _) = rebuilt_cloud.downsample(2);
-            for ks in [2usize, 3] {
-                let got = live.kernel_map_probe(1, &coarse, ks);
-                let want = rebuilt.kernel_map_probe(1, &coarse, ks);
-                let gold = golden::kernel_map_hash(&rebuilt_cloud, &coarse, ks);
-                prop_assert_eq!(got.to_entries(), want.to_entries());
-                prop_assert_eq!(rebuilt.kernel_map_probe(1, &coarse, ks).to_entries(),
-                                gold.to_entries());
-            }
-            // An empty delta is the identity.
-            live.apply_delta(&[], &[]);
-            prop_assert_eq!(live.len(), rebuilt.len());
-        }
-    }
-
-    /// Satellite (c): far-outside and degenerate (collinear/coincident)
-    /// knn queries agree with the golden brute-force ranking.
+    /// Far-outside and degenerate (collinear/coincident) knn queries
+    /// agree with the golden brute-force ranking.
     #[test]
     fn knn_far_outside_and_degenerate_matches_golden(
         n in 1usize..60,
