@@ -1,14 +1,13 @@
-//! Mapping-backend benchmark: wall-clock of the grid-hash `Indexed`
-//! backend vs the brute-force `Golden` oracle on every mapping
-//! operation, plus the modeled (host-independent) points/s of the
-//! accelerator configs on the same workload.
+//! Mapping-op benchmark: wall-clock of each production op in
+//! `pointacc_geom::index` vs its brute-force twin in
+//! `pointacc_geom::golden`, plus the modeled (host-independent) points/s
+//! of the accelerator configs on the same workload.
 //!
 //! Besides the printed rows, the run writes `BENCH_mapping.json`
 //! (override the path with `BENCH_MAPPING_OUT`) so CI records the perf
-//! trajectory: indexed-vs-golden speedup per operation and modeled
-//! points/s. The acceptance bar for the backend is a ≥ 3× speedup on
-//! kNN / ball-query / fused kernel-map construction / bucket-pruned
-//! exact FPS.
+//! trajectory: index-over-golden speedup per operation and modeled
+//! points/s. The acceptance bar is a ≥ 3× speedup on kNN / ball-query /
+//! fused kernel-map construction / bucket-pruned exact FPS.
 //!
 //! Workload size follows `POINTACC_SCALE` (clamped so the golden O(n²)
 //! side stays benchmarkable at scale 1.0).
@@ -19,9 +18,11 @@ use std::time::Instant;
 use criterion::{BenchmarkId, Criterion};
 use pointacc::{Accelerator, Engine, PointAccConfig};
 use pointacc_data::Dataset;
-use pointacc_geom::index::{MappingBackend, GOLDEN, INDEXED};
-use pointacc_geom::PointSet;
+use pointacc_geom::{golden, index, PointSet};
 use pointacc_nn::zoo;
+
+/// Minimum index-over-golden wall-clock speedup per op at full size.
+const MIN_SPEEDUP: f64 = 3.0;
 
 /// Median wall-clock seconds of `reps` runs of `f`.
 fn time_median<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
@@ -35,11 +36,10 @@ fn time_median<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
     ts[reps / 2]
 }
 
-/// One op timed on both backends; returns `(golden_s, indexed_s)`.
-fn compare<R>(reps: usize, op: impl Fn(&'static dyn MappingBackend) -> R) -> (f64, f64) {
-    let golden = time_median(reps, || op(&GOLDEN));
-    let indexed = time_median(reps, || op(&INDEXED));
-    (golden, indexed)
+/// One op timed as its golden twin and its index op; returns
+/// `(golden_s, indexed_s)`.
+fn compare<G, I>(reps: usize, golden: impl FnMut() -> G, index: impl FnMut() -> I) -> (f64, f64) {
+    (time_median(reps, golden), time_median(reps, index))
 }
 
 fn main() {
@@ -63,12 +63,27 @@ fn main() {
     let mut g = c.benchmark_group("mapping");
     g.sample_size(reps);
 
-    let (knn_g, knn_i) =
-        compare(reps, |b| black_box(b.k_nearest_neighbors(&pts, &queries, k)).len());
-    let (ball_g, ball_i) =
-        compare(reps, |b| black_box(b.ball_query_padded(&pts, &queries, radius * radius, k)).len());
-    let (km_g, km_i) = compare(reps, |b| black_box(b.kernel_map(&cloud, &cloud, 3)).len());
-    let (fps_g, fps_i) = compare(reps, |b| black_box(b.farthest_point_sampling(&pts, m)).len());
+    let r2 = radius * radius;
+    let (knn_g, knn_i) = compare(
+        reps,
+        || golden::k_nearest_neighbors(&pts, &queries, k),
+        || index::k_nearest_neighbors(&pts, &queries, k),
+    );
+    let (ball_g, ball_i) = compare(
+        reps,
+        || golden::ball_query_padded(&pts, &queries, r2, k),
+        || index::ball_query_padded(&pts, &queries, r2, k),
+    );
+    let (km_g, km_i) = compare(
+        reps,
+        || golden::kernel_map_hash(&cloud, &cloud, 3),
+        || index::kernel_map(&cloud, &cloud, 3),
+    );
+    let (fps_g, fps_i) = compare(
+        reps,
+        || golden::farthest_point_sampling(&pts, m),
+        || index::farthest_point_sampling(&pts, m),
+    );
 
     let rows = [
         ("knn", knn_g, knn_i),
@@ -155,16 +170,9 @@ fn main() {
     // golden hash table turning cache-resident — compress the ratios,
     // so the bar derates to 60% there; that still fails hard on a real
     // regression (the pre-merge-join kernel map measured 1.1×).
-    // `BENCH_MAPPING_MIN_SPEEDUP` overrides the bar (0 = record-only).
-    let override_floor: Option<f64> =
-        std::env::var("BENCH_MAPPING_MIN_SPEEDUP").ok().and_then(|s| s.parse().ok());
-    let derate = if n < 12_000 { 0.6 } else { 1.0 };
-    let floor = override_floor.unwrap_or(3.0 * derate);
+    let floor = if n < 12_000 { 0.6 * MIN_SPEEDUP } else { MIN_SPEEDUP };
     for (name, golden_s, indexed_s) in rows {
         let ratio = golden_s / indexed_s.max(1e-12);
-        assert!(
-            ratio >= floor,
-            "{name}: indexed backend is only {ratio:.2}x over golden (bar: {floor}x)"
-        );
+        assert!(ratio >= floor, "{name}: index op is only {ratio:.2}x over golden (bar: {floor}x)");
     }
 }

@@ -37,7 +37,7 @@ use pointacc_nn::NetworkTrace;
 use crate::{cached_benchmark_trace, geomean};
 
 // The scheduler itself lives in `pointacc_geom::par` so the mapping
-// backends can parallelize per-query/per-offset work with the same
+// ops can parallelize per-query/per-offset work with the same
 // work-stealing map the grid uses for (engine × benchmark × seed)
 // cells; re-exported here unchanged for all existing callers.
 pub use pointacc_geom::par::{parallel_map, parallel_map_with, worker_threads};

@@ -166,15 +166,6 @@ pub fn streaming_out() -> std::path::PathBuf {
     .clone()
 }
 
-/// Override for the streaming demo's amortized-vs-cold throughput bar
-/// from `BENCH_STREAMING_MIN_GAIN` (`0` = record-only). Read **once**
-/// per process, like [`scale`]; `None` keeps the bin's default bar.
-pub fn streaming_min_gain() -> Option<f64> {
-    static GAIN: std::sync::OnceLock<Option<f64>> = std::sync::OnceLock::new();
-    *GAIN
-        .get_or_init(|| std::env::var("BENCH_STREAMING_MIN_GAIN").ok().and_then(|s| s.parse().ok()))
-}
-
 /// Builds the execution trace of one benchmark on its synthetic dataset
 /// (trace-only fidelity — identical costs, no feature arithmetic) at the
 /// process-wide [`scale`].

@@ -3,15 +3,17 @@
 //! These are straightforward CPU algorithms — hash tables, brute-force
 //! distance scans — matching the state-of-the-art CPU/GPU implementations
 //! the paper profiles (§2.1). They are the workspace's **test oracle**:
-//! the PointAcc mapping unit in the `pointacc` crate and the grid-hash
-//! [`crate::index::Indexed`] backend must both produce bit-identical
-//! results to these functions, and the test suites enforce that
-//! equivalence (`tests/mpu_equivalence.rs`, `tests/mapping_backends.rs`).
+//! the PointAcc mapping unit in the `pointacc` crate and the production
+//! ops of [`crate::index`], which carry the same names, must both
+//! produce bit-identical results to these functions, and the test
+//! suites enforce that equivalence (`tests/mpu_equivalence.rs`,
+//! `tests/mapping_backends.rs`).
 //!
-//! Hot paths should not call this module directly: the executor, the
-//! [`crate::KernelMap`] constructors and the bench harness go through
-//! [`crate::index::MappingBackend`], which defaults to the indexed
-//! backend and keeps `golden` as the slow, auditable reference.
+//! Hot paths should not call the brute-force searches here: the executor
+//! and the [`crate::KernelMap`] constructors call [`crate::index`], which
+//! falls back to this module only for tiny FPS workloads (where its
+//! index build would cost more than it saves) and for kernel maps
+//! outside its packed-key range.
 
 use std::collections::HashMap;
 
@@ -137,7 +139,8 @@ pub fn ball_query(input: &PointSet, queries: &PointSet, radius2: f32, k: usize) 
 /// `k` repeat their nearest member so every output has exactly `k`
 /// entries. Queries with an empty ball fall back to the single nearest
 /// neighbor repeated `k` times (matches the reference implementation's
-/// behaviour of always grouping something).
+/// behaviour of always grouping something). An empty `input` has
+/// nothing to group, so every query gets an empty neighborhood.
 pub fn ball_query_padded(
     input: &PointSet,
     queries: &PointSet,
@@ -150,7 +153,7 @@ pub fn ball_query_padded(
             let fallback = knn_one(input, queries.point(qi), 1, None);
             nbrs.extend_from_slice(&fallback);
         }
-        let first = nbrs[0];
+        let Some(&first) = nbrs.first() else { continue };
         while nbrs.len() < k {
             nbrs.push(first);
         }
@@ -181,20 +184,6 @@ pub fn neighbors_to_maps(neighbors: &[Vec<usize>]) -> MapTable {
         .flat_map(|(q, ns)| ns.iter().map(move |&p| MapEntry::new(p as u32, q as u32, 0)))
         .collect();
     MapTable::from_entries(entries, 1)
-}
-
-/// Converts per-query neighbor lists into a *positional* map table where
-/// the weight index is the neighbor rank (0..k). Used by convolutions that
-/// apply a different weight per neighbor rank (e.g. PointCNN-style).
-pub fn neighbors_to_ranked_maps(neighbors: &[Vec<usize>], k: usize) -> MapTable {
-    let entries = neighbors
-        .iter()
-        .enumerate()
-        .flat_map(|(q, ns)| {
-            ns.iter().enumerate().map(move |(r, &p)| MapEntry::new(p as u32, q as u32, r as u16))
-        })
-        .collect();
-    MapTable::from_entries(entries, k)
 }
 
 #[cfg(test)]
@@ -333,8 +322,7 @@ mod tests {
         let shared = neighbors_to_maps(&nbrs);
         assert_eq!(shared.n_weights(), 1);
         assert_eq!(shared.len(), 3);
-        let ranked = neighbors_to_ranked_maps(&nbrs, 2);
-        assert_eq!(ranked.n_weights(), 2);
-        assert_eq!(ranked.group(1).iter().collect::<Vec<_>>(), vec![MapEntry::new(2, 0, 1)]);
+        assert_eq!(shared.inputs(), &[1, 2, 0]);
+        assert_eq!(shared.outputs(), &[0, 0, 1]);
     }
 }

@@ -1,9 +1,9 @@
-//! Grid-hash spatial indexing and the unified mapping-op backend.
+//! Grid-hash spatial indexing and the production mapping operations.
 //!
 //! The golden algorithms in [`crate::golden`] are deliberately naive —
 //! O(n²) kNN scans, O(n·m) FPS — which makes them a trustworthy test
 //! oracle and a terrible hot path: trace compilation and functional
-//! execution spend almost all their time in them. This module provides
+//! execution would spend almost all their time in them. This module is
 //! the production path:
 //!
 //! - [`GridIndex`] — a uniform grid hash over continuous points with
@@ -12,19 +12,23 @@
 //!   coordinates mirrored into x/y/z SoA arrays, so spatially adjacent
 //!   cells sit adjacent in memory and shell/AABB scans stream linear
 //!   loads instead of chasing the point array,
-//! - [`MappingBackend`] — one trait for every mapping operation (FPS,
-//!   kNN, ball query, kernel mapping), with two implementations:
-//!   [`Golden`] (the brute-force oracle) and [`Indexed`]
-//!   (grid-hash traversal, **fused kernel-map probing** over output
-//!   buckets, plus per-query/per-bucket parallelism via [`crate::par`]).
+//! - the four mapping operations, named after their golden twins:
+//!   [`farthest_point_sampling`] (the bucket-pruned [`fps_pruned`]
+//!   kernel), [`k_nearest_neighbors`], [`ball_query_padded`] (grid
+//!   traversal) and [`kernel_map`] (**fused merge-join probing** over
+//!   output buckets), each parallel per query, chunk or bucket via
+//!   [`crate::par`].
 //!
-//! **Both backends are bit-identical by construction** — same ranking
-//! key `(dist², index)`, same tie-breaking, same map emission order per
-//! weight group — and the equivalence is property-tested over random
-//! clouds, radii and strides in `tests/mapping_backends.rs`. Consumers
-//! (the reference executor, `KernelMap` constructors, the bench harness)
-//! default to [`Indexed`]; set `POINTACC_BACKEND=golden` to force the
-//! oracle (read once per process).
+//! **Each op is bit-identical to its golden twin by construction** —
+//! same ranking key `(dist², index)`, FPS starting at index 0 with ties
+//! to the lowest index, same map emission order per weight group — and
+//! `tests/mapping_backends.rs` property-tests the equivalence over random
+//! and adversarial clouds, radii and strides. The executor and the
+//! [`KernelMap`](crate::KernelMap) constructors call these functions
+//! directly. Non-finite coordinates are outside the contract: the golden
+//! oracle panics on the NaN distances they produce, while these ops rank
+//! them after every real neighbor, so production queries degrade
+//! benignly.
 
 use std::collections::BinaryHeap;
 use std::sync::Mutex;
@@ -45,15 +49,15 @@ pub fn dist_key(d2: f32, index: u32) -> u128 {
 /// [`dist_key`] hardened against non-finite input coordinates: a NaN
 /// distance (e.g. a point with a NaN coordinate, or ∞−∞) ranks **after
 /// every real distance**, so a corrupt point can never displace a real
-/// neighbor. The golden oracle panics on NaN instead; the backends are
-/// bit-identical over finite clouds (the documented contract), while
-/// the production path degrades benignly on garbage input.
+/// neighbor. The golden oracle panics on NaN instead; the two agree bit
+/// for bit over finite clouds (the documented contract), while the
+/// production path degrades benignly on garbage input.
 fn total_dist_key(d2: f32, index: u32) -> u128 {
     let bits = if d2.is_nan() { u32::MAX } else { d2.to_bits() };
     ((bits as u128) << 32) | index as u128
 }
 
-/// Work thresholds below which the indexed backend stays serial: thread
+/// Work thresholds below which the mapping ops stay serial: thread
 /// spawns cost more than the loop they would split. Kernel-map probes
 /// are single hash lookups (cheap per unit of "work"), so that gate sits
 /// much higher than the distance-heavy query gate.
@@ -61,8 +65,8 @@ const QUERY_PAR_WORK: usize = 1 << 13;
 const KERNEL_PAR_WORK: usize = 1 << 17;
 const FPS_PAR_WORK: u64 = 1 << 21;
 
-/// Minimum points per parallel-FPS worker chunk: below this the
-/// per-iteration barrier dominates the chunk scan.
+/// Minimum points per FPS chunk once the cloud is split: below this the
+/// per-iteration pool round dominates the chunk scan.
 const FPS_MIN_CHUNK: usize = 2048;
 
 /// Minimum `n·m` work product for the bucket-pruned exact FPS path:
@@ -527,413 +531,274 @@ pub fn apply_point_delta(
     moves
 }
 
-/// One implementation of every mapping operation (paper §2.1): farthest
-/// point sampling, k-nearest-neighbors, ball query, and kernel mapping.
+/// Runs `query` over every query point against one [`GridIndex`] of
+/// `input`, parallelizing when the total work justifies it. Queries are
+/// handed out in chunks (several per worker for balance) so per-item
+/// scheduling stays off the per-query cost.
+fn batch<F>(input: &PointSet, queries: &PointSet, query: F) -> Vec<Vec<usize>>
+where
+    F: Fn(&GridIndex, Point3) -> Vec<usize> + Sync,
+{
+    let index = GridIndex::build(input.points());
+    let work = input.len().saturating_mul(queries.len());
+    if work >= QUERY_PAR_WORK && queries.len() > 1 && worker_threads() > 1 {
+        let qs = queries.points();
+        let chunk = qs.len().div_ceil(worker_threads() * 4).max(8);
+        let chunks: Vec<&[Point3]> = qs.chunks(chunk).collect();
+        parallel_map(&chunks, |c| c.iter().map(|&q| query(&index, q)).collect::<Vec<_>>()).concat()
+    } else {
+        queries.points().iter().map(|&q| query(&index, q)).collect()
+    }
+}
+
+/// Exact farthest point sampling (paper §2.1.1): `m` indices in
+/// selection order, starting at index 0, ties to the lowest index —
+/// bit-identical to [`golden::farthest_point_sampling`].
 ///
-/// All implementations must be **bit-identical over clouds with finite
-/// coordinates**: same ranking key `(dist², index)`, FPS starting at
-/// index 0 with ties to the lowest index, kernel maps emitted per
-/// offset in output order. The equivalence suite in
-/// `tests/mapping_backends.rs` enforces this, and it is what lets the
-/// executor swap backends without perturbing traces, golden snapshots,
-/// or functional outputs. Non-finite coordinates are a caller bug and
-/// outside the contract: the [`Golden`] oracle panics on the NaN
-/// distances they produce, while [`Indexed`] ranks them after every
-/// real neighbor so production queries degrade benignly.
-pub trait MappingBackend: Sync {
-    /// Short backend name for reports and benches.
-    fn name(&self) -> &'static str;
+/// Tiny workloads (`n·m` below the index build's break-even) run the
+/// golden serial sweep as-is; everything else runs [`fps_pruned`] on one
+/// chunk, or on up to one chunk per worker once `n·m` reaches the
+/// chunk-parallel gate. Both gates select on input size alone.
+///
+/// # Panics
+///
+/// Panics if `m > points.len()`.
+pub fn farthest_point_sampling(points: &PointSet, m: usize) -> Vec<usize> {
+    assert!(m <= points.len(), "cannot sample {m} from {} points", points.len());
+    let n = points.len();
+    if (n as u64).saturating_mul(m as u64) < FPS_PRUNE_WORK || m < 2 {
+        return golden::farthest_point_sampling(points, m);
+    }
+    fps_pruned(points, m, fps_workers(worker_threads(), n, m))
+}
 
-    /// Farthest point sampling: `m` indices in selection order, starting
-    /// at index 0, ties to the lowest index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m > points.len()`.
-    fn farthest_point_sampling(&self, points: &PointSet, m: usize) -> Vec<usize>;
+/// k-nearest-neighbors of every query: ≤ `k` indices per query in
+/// ascending `(dist², index)` order — bit-identical to
+/// [`golden::k_nearest_neighbors`].
+pub fn k_nearest_neighbors(input: &PointSet, queries: &PointSet, k: usize) -> Vec<Vec<usize>> {
+    batch(input, queries, |index, q| index.knn(q, k))
+}
 
-    /// k-nearest-neighbors of every query: ≤ `k` indices per query in
-    /// ascending `(dist², index)` order.
-    fn k_nearest_neighbors(
-        &self,
-        input: &PointSet,
-        queries: &PointSet,
-        k: usize,
-    ) -> Vec<Vec<usize>>;
-
-    /// Ball query: like kNN but only points within squared radius
-    /// `radius2` qualify (unpadded).
-    fn ball_query(
-        &self,
-        input: &PointSet,
-        queries: &PointSet,
-        radius2: f32,
-        k: usize,
-    ) -> Vec<Vec<usize>>;
-
-    /// Kernel mapping between an input and an output cloud for a cubic
-    /// kernel of size `kernel_size` (offsets in [`golden::kernel_offsets`]
-    /// order, maps within each weight group in output order).
-    fn kernel_map(&self, input: &VoxelCloud, output: &VoxelCloud, kernel_size: usize) -> MapTable;
-
-    /// Ball query with PointNet++-style padding: short neighborhoods
-    /// repeat their nearest member, empty balls fall back to the global
-    /// nearest neighbor. An empty input yields empty neighborhoods (the
-    /// executor rejects empty clouds before ever padding).
-    fn ball_query_padded(
-        &self,
-        input: &PointSet,
-        queries: &PointSet,
-        radius2: f32,
-        k: usize,
-    ) -> Vec<Vec<usize>> {
-        let mut out = self.ball_query(input, queries, radius2, k);
-        for (qi, nbrs) in out.iter_mut().enumerate() {
-            if nbrs.is_empty() {
-                let fallback = self.k_nearest_neighbors(
-                    input,
-                    &PointSet::from_points(vec![queries.point(qi)]),
-                    1,
-                );
-                nbrs.extend_from_slice(&fallback[0]);
-            }
-            let Some(&first) = nbrs.first() else { continue };
+/// Ball query with PointNet++-style padding: the ≤ `k` nearest points
+/// within squared radius `radius2`, short neighborhoods repeating their
+/// nearest member and empty balls falling back to the global nearest
+/// neighbor, so every query gets exactly `k` entries — unless `input` is
+/// empty, which yields empty neighborhoods. Bit-identical to
+/// [`golden::ball_query_padded`]; the ball pass and the fallback share
+/// one [`GridIndex`] build.
+pub fn ball_query_padded(
+    input: &PointSet,
+    queries: &PointSet,
+    radius2: f32,
+    k: usize,
+) -> Vec<Vec<usize>> {
+    batch(input, queries, |index, q| {
+        let mut nbrs = index.ball(q, radius2, k);
+        if nbrs.is_empty() {
+            nbrs = index.knn(q, 1);
+        }
+        if let Some(&first) = nbrs.first() {
             while nbrs.len() < k {
                 nbrs.push(first);
             }
         }
-        out
-    }
+        nbrs
+    })
 }
 
-/// The brute-force oracle backend: every operation delegates to
-/// [`crate::golden`]. Slow by design; kept as the reference the
-/// [`Indexed`] backend (and the MPU hardware model) must reproduce
-/// bit-exactly.
-#[derive(Copy, Clone, Debug, Default)]
-pub struct Golden;
+/// Kernel mapping between an input and an output cloud for a cubic
+/// kernel of size `kernel_size` — bit-identical to
+/// [`golden::kernel_map_hash`]: offsets in [`golden::kernel_offsets`]
+/// order, maps within each weight group in output order.
+///
+/// Fused kernel-map probing: instead of one hash lookup per (output
+/// point × kernel offset) — `kernel_volume · m` SipHash-class probes,
+/// each a random access — the output coords are cut into contiguous
+/// buckets (already spatially coherent, since a [`VoxelCloud`] is
+/// sorted lexicographically) and every offset of a bucket is
+/// resolved while the bucket stays hot in cache. Per offset the
+/// probe coords `q + δ` ascend with `q` and the packed keys are
+/// monotone in the cloud order, so each bucket×offset pass is a
+/// **sorted-set intersection** against the input keys: no hashing at
+/// all, both sides stream sequentially, and the two cursor advances
+/// compile to conditional moves rather than data-dependent branches.
+/// The keys pack into 21-bit lanes of a `u64` and the probe key is
+/// one `wrapping_add` of a per-offset constant; the rare cloud whose
+/// lanes exceed the ±2^19 guard delegates to the golden hash probe,
+/// which is bit-identical by definition. Parallelism is over
+/// buckets, so small kernels (k=2: 8 offsets) scale past 8 workers.
+/// Hits leave each bucket offset-major and in ascending output
+/// order, so the bucket-order merge yields exactly the golden
+/// emission order regardless of worker count.
+pub fn kernel_map(input: &VoxelCloud, output: &VoxelCloud, kernel_size: usize) -> MapTable {
+    let offsets = golden::kernel_offsets(kernel_size);
+    let s = input.stride();
+    let deltas: Vec<Coord> = offsets.iter().map(|d| d.scale(s)).collect();
+    let v = offsets.len();
+    let qs = output.coords();
 
-impl MappingBackend for Golden {
-    fn name(&self) -> &'static str {
-        "golden"
-    }
-
-    fn farthest_point_sampling(&self, points: &PointSet, m: usize) -> Vec<usize> {
-        golden::farthest_point_sampling(points, m)
-    }
-
-    fn k_nearest_neighbors(
-        &self,
-        input: &PointSet,
-        queries: &PointSet,
-        k: usize,
-    ) -> Vec<Vec<usize>> {
-        golden::k_nearest_neighbors(input, queries, k)
-    }
-
-    fn ball_query(
-        &self,
-        input: &PointSet,
-        queries: &PointSet,
-        radius2: f32,
-        k: usize,
-    ) -> Vec<Vec<usize>> {
-        golden::ball_query(input, queries, radius2, k)
-    }
-
-    fn kernel_map(&self, input: &VoxelCloud, output: &VoxelCloud, kernel_size: usize) -> MapTable {
-        golden::kernel_map_hash(input, output, kernel_size)
-    }
-}
-
-/// The production backend: [`GridIndex`] traversal for kNN/ball query,
-/// chunk-parallel exact FPS, and fused merge-join kernel maps with
-/// per-bucket parallelism. Falls back to serial loops below the work
-/// thresholds where thread spawns would dominate.
-#[derive(Copy, Clone, Debug, Default)]
-pub struct Indexed;
-
-impl Indexed {
-    /// Runs `query` over every query point, parallelizing when the total
-    /// work justifies the thread spawns. Queries are handed out in
-    /// chunks (several per worker for balance) so per-item scheduling
-    /// and channel traffic stay off the per-query cost.
-    fn batch<F>(&self, input: &PointSet, queries: &PointSet, query: F) -> Vec<Vec<usize>>
-    where
-        F: Fn(&GridIndex, Point3) -> Vec<usize> + Sync,
+    // 64-bit fast path: with every lane in ±2^19 the biased 21-bit
+    // lanes can absorb any guarded delta without wrapping into a
+    // neighbor lane, so `key64(q + δ) = key64(q) + key64_delta(δ)`
+    // with plain wrapping adds, and key order still matches the
+    // cloud's lexicographic order.
+    const LANE64: i32 = 1 << 19;
+    let lane_ok = |c: &Coord| {
+        c.x > -LANE64
+            && c.x < LANE64
+            && c.y > -LANE64
+            && c.y < LANE64
+            && c.z > -LANE64
+            && c.z < LANE64
+    };
+    if !(input.coords().iter().all(lane_ok) && qs.iter().all(lane_ok) && deltas.iter().all(lane_ok))
     {
-        let index = GridIndex::build(input.points());
-        let work = input.len().saturating_mul(queries.len());
-        if work >= QUERY_PAR_WORK && queries.len() > 1 && worker_threads() > 1 {
-            let qs = queries.points();
-            let chunk = qs.len().div_ceil(worker_threads() * 4).max(8);
-            let chunks: Vec<&[Point3]> = qs.chunks(chunk).collect();
-            parallel_map(&chunks, |c| c.iter().map(|&q| query(&index, q)).collect::<Vec<_>>())
-                .concat()
-        } else {
-            queries.points().iter().map(|&q| query(&index, q)).collect()
-        }
+        return golden::kernel_map_hash(input, output, kernel_size);
     }
-}
+    // Ascending, since `key64` preserves the lexicographic sort
+    // order of the cloud; the index of a key is the input index.
+    let in64: Vec<u64> = input.coords().iter().map(|&c| key64(c)).collect();
+    let q64: Vec<u64> = qs.iter().map(|&c| key64(c)).collect();
+    let origin64 = key64(Coord::new(0, 0, 0));
+    let d64: Vec<u64> = deltas.iter().map(|&d| key64(d).wrapping_sub(origin64)).collect();
+    let n_in = input.len();
 
-impl MappingBackend for Indexed {
-    fn name(&self) -> &'static str {
-        "indexed"
-    }
+    // Self-map symmetry (odd kernels over one cloud — every
+    // stride-1 sparse-conv layer): `q + δ = p  ⟺  p + (−δ) = q`,
+    // and `kernel_offsets` lists `−δ` at the mirrored weight index,
+    // so the upper half of the weight groups is the transpose of
+    // the lower half and the center offset is the identity map.
+    // Only the lower half gets probed; the rest is derived.
+    let self_map =
+        kernel_size % 2 == 1 && (std::ptr::eq(input, output) || input.coords() == output.coords());
+    let center = v / 2;
+    let n_probe = if self_map { center } else { v };
 
-    /// Exact FPS, bit-identical to golden on every path: the
-    /// bucket-pruned sweep ([`fps_pruned`]) once the `n·m` work product
-    /// covers the index build, with the chunk-parallel layer
-    /// ([`fps_parallel`]) on top past [`fps_workers`]' gate; tiny
-    /// workloads run the golden serial scan directly.
-    fn farthest_point_sampling(&self, points: &PointSet, m: usize) -> Vec<usize> {
-        assert!(m <= points.len(), "cannot sample {m} from {} points", points.len());
-        let n = points.len();
-        let workers = fps_workers(worker_threads(), n, m);
-        if workers > 1 {
-            return fps_parallel(points, m, workers);
-        }
-        if (n as u64).saturating_mul(m as u64) >= FPS_PRUNE_WORK && m >= 2 {
-            return fps_pruned(points, m).0;
-        }
-        golden::farthest_point_sampling(points, m)
-    }
-
-    fn k_nearest_neighbors(
-        &self,
-        input: &PointSet,
-        queries: &PointSet,
-        k: usize,
-    ) -> Vec<Vec<usize>> {
-        self.batch(input, queries, |index, q| index.knn(q, k))
-    }
-
-    fn ball_query(
-        &self,
-        input: &PointSet,
-        queries: &PointSet,
-        radius2: f32,
-        k: usize,
-    ) -> Vec<Vec<usize>> {
-        self.batch(input, queries, |index, q| index.ball(q, radius2, k))
-    }
-
-    /// Same semantics as the trait default, but the ball pass and the
-    /// empty-ball nearest-neighbor fallback share one [`GridIndex`]
-    /// build instead of re-indexing per fallback query.
-    fn ball_query_padded(
-        &self,
-        input: &PointSet,
-        queries: &PointSet,
-        radius2: f32,
-        k: usize,
-    ) -> Vec<Vec<usize>> {
-        self.batch(input, queries, |index, q| {
-            let mut nbrs = index.ball(q, radius2, k);
-            if nbrs.is_empty() {
-                nbrs = index.knn(q, 1);
-            }
-            if let Some(&first) = nbrs.first() {
-                while nbrs.len() < k {
-                    nbrs.push(first);
+    // One bucket's fused probe: SoA hit arrays, CSR by weight. Per
+    // offset, binary-search to the bucket's window, then intersect;
+    // hits land in a pre-sized scratch pair (plain cursor stores —
+    // `Vec::push` in this loop defeats the register allocation of
+    // the merge state) and are bulk-appended per offset.
+    let probe_bucket = |&(base, chunk): &(usize, &[Coord])| -> BucketHits {
+        let mlen = chunk.len();
+        let qk = &q64[base..base + mlen];
+        let mut inputs = Vec::new();
+        let mut outputs = Vec::new();
+        let mut counts = vec![0usize; n_probe + 1];
+        let mut buf_i = vec![0u32; mlen];
+        let mut buf_o = vec![0u32; mlen];
+        for (w, &dk) in d64[..n_probe].iter().enumerate() {
+            let mut c = 0usize;
+            let mut i = match qk.first() {
+                Some(&k0) => in64.partition_point(|&key| key < k0.wrapping_add(dk)),
+                None => 0,
+            };
+            let mut j = 0usize;
+            while i < n_in && j < mlen {
+                let a = in64[i];
+                let b = qk[j].wrapping_add(dk);
+                if a == b {
+                    buf_i[c] = i as u32;
+                    buf_o[c] = (base + j) as u32;
+                    c += 1;
                 }
+                i += usize::from(a <= b);
+                j += usize::from(a >= b);
             }
-            nbrs
-        })
+            inputs.extend_from_slice(&buf_i[..c]);
+            outputs.extend_from_slice(&buf_o[..c]);
+            counts[w + 1] = inputs.len();
+        }
+        BucketHits { inputs, outputs, offsets: counts }
+    };
+
+    let work = qs.len().saturating_mul(v);
+    let parts: Vec<BucketHits> = if work >= KERNEL_PAR_WORK && worker_threads() > 1 {
+        // Several buckets per worker for balance; large enough that
+        // the per-bucket sort and merge copies stay amortized.
+        let chunk = qs.len().div_ceil(worker_threads() * 4).max(256);
+        let jobs: Vec<(usize, &[Coord])> =
+            qs.chunks(chunk).enumerate().map(|(i, c)| (i * chunk, c)).collect();
+        parallel_map(&jobs, probe_bucket)
+    } else {
+        vec![probe_bucket(&(0, qs))]
+    };
+
+    // Deterministic merge: weight-major over buckets in output
+    // order, straight into the table's SoA storage. Derived groups
+    // (self-map only) mirror the probed totals; the center offset
+    // maps every point to itself.
+    let mut group_len = vec![0usize; v];
+    for part in &parts {
+        for (w, len) in group_len[..n_probe].iter_mut().enumerate() {
+            *len += part.group_len(w);
+        }
     }
-
-    /// Fused kernel-map probing: instead of one hash lookup per (output
-    /// point × kernel offset) — `kernel_volume · m` SipHash-class probes,
-    /// each a random access — the output coords are cut into contiguous
-    /// buckets (already spatially coherent, since a [`VoxelCloud`] is
-    /// sorted lexicographically) and every offset of a bucket is
-    /// resolved while the bucket stays hot in cache. Per offset the
-    /// probe coords `q + δ` ascend with `q` and the packed keys are
-    /// monotone in the cloud order, so each bucket×offset pass is a
-    /// **sorted-set intersection** against the input keys: no hashing at
-    /// all, both sides stream sequentially, and the two cursor advances
-    /// compile to conditional moves rather than data-dependent branches.
-    /// The keys pack into 21-bit lanes of a `u64` and the probe key is
-    /// one `wrapping_add` of a per-offset constant; the rare cloud whose
-    /// lanes exceed the ±2^19 guard delegates to the golden hash probe,
-    /// which is bit-identical by definition. Parallelism is over
-    /// buckets, so small kernels (k=2: 8 offsets) scale past 8 workers.
-    /// Hits leave each bucket offset-major and in ascending output
-    /// order, so the bucket-order merge yields exactly the golden
-    /// emission order regardless of worker count.
-    fn kernel_map(&self, input: &VoxelCloud, output: &VoxelCloud, kernel_size: usize) -> MapTable {
-        let offsets = golden::kernel_offsets(kernel_size);
-        let s = input.stride();
-        let deltas: Vec<Coord> = offsets.iter().map(|d| d.scale(s)).collect();
-        let v = offsets.len();
-        let qs = output.coords();
-
-        // 64-bit fast path: with every lane in ±2^19 the biased 21-bit
-        // lanes can absorb any guarded delta without wrapping into a
-        // neighbor lane, so `key64(q + δ) = key64(q) + key64_delta(δ)`
-        // with plain wrapping adds, and key order still matches the
-        // cloud's lexicographic order.
-        const LANE64: i32 = 1 << 19;
-        let lane_ok = |c: &Coord| {
-            c.x > -LANE64
-                && c.x < LANE64
-                && c.y > -LANE64
-                && c.y < LANE64
-                && c.z > -LANE64
-                && c.z < LANE64
-        };
-        if !(input.coords().iter().all(lane_ok)
-            && qs.iter().all(lane_ok)
-            && deltas.iter().all(lane_ok))
+    if self_map {
+        for w in 0..center {
+            group_len[v - 1 - w] = group_len[w];
+        }
+        group_len[center] = n_in;
+    }
+    let mut offsets = vec![0usize; v + 1];
+    for (w, &len) in group_len.iter().enumerate() {
+        offsets[w + 1] = offsets[w] + len;
+    }
+    let total = offsets[v];
+    let mut inputs = vec![0u32; total];
+    let mut outputs = vec![0u32; total];
+    let mut cursor = offsets[..n_probe].to_vec();
+    for part in &parts {
+        for (w, at) in cursor.iter_mut().enumerate() {
+            let (pi, qi) = part.group(w);
+            inputs[*at..*at + pi.len()].copy_from_slice(pi);
+            outputs[*at..*at + qi.len()].copy_from_slice(qi);
+            *at += pi.len();
+        }
+    }
+    if self_map {
+        // Center: the identity map, in ascending output order.
+        let at = offsets[center];
+        for (i, (pi, qi)) in
+            inputs[at..at + n_in].iter_mut().zip(&mut outputs[at..at + n_in]).enumerate()
         {
-            return golden::kernel_map_hash(input, output, kernel_size);
+            *pi = i as u32;
+            *qi = i as u32;
         }
-        // Ascending, since `key64` preserves the lexicographic sort
-        // order of the cloud; the index of a key is the input index.
-        let in64: Vec<u64> = input.coords().iter().map(|&c| key64(c)).collect();
-        let q64: Vec<u64> = qs.iter().map(|&c| key64(c)).collect();
-        let origin64 = key64(Coord::new(0, 0, 0));
-        let d64: Vec<u64> = deltas.iter().map(|&d| key64(d).wrapping_sub(origin64)).collect();
-        let n_in = input.len();
-
-        // Self-map symmetry (odd kernels over one cloud — every
-        // stride-1 sparse-conv layer): `q + δ = p  ⟺  p + (−δ) = q`,
-        // and `kernel_offsets` lists `−δ` at the mirrored weight index,
-        // so the upper half of the weight groups is the transpose of
-        // the lower half and the center offset is the identity map.
-        // Only the lower half gets probed; the rest is derived.
-        let self_map = kernel_size % 2 == 1
-            && (std::ptr::eq(input, output) || input.coords() == output.coords());
-        let center = v / 2;
-        let n_probe = if self_map { center } else { v };
-
-        // One bucket's fused probe: SoA hit arrays, CSR by weight. Per
-        // offset, binary-search to the bucket's window, then intersect;
-        // hits land in a pre-sized scratch pair (plain cursor stores —
-        // `Vec::push` in this loop defeats the register allocation of
-        // the merge state) and are bulk-appended per offset.
-        let probe_bucket = |&(base, chunk): &(usize, &[Coord])| -> BucketHits {
-            let mlen = chunk.len();
-            let qk = &q64[base..base + mlen];
-            let mut inputs = Vec::new();
-            let mut outputs = Vec::new();
-            let mut counts = vec![0usize; n_probe + 1];
-            let mut buf_i = vec![0u32; mlen];
-            let mut buf_o = vec![0u32; mlen];
-            for (w, &dk) in d64[..n_probe].iter().enumerate() {
-                let mut c = 0usize;
-                let mut i = match qk.first() {
-                    Some(&k0) => in64.partition_point(|&key| key < k0.wrapping_add(dk)),
-                    None => 0,
-                };
-                let mut j = 0usize;
-                while i < n_in && j < mlen {
-                    let a = in64[i];
-                    let b = qk[j].wrapping_add(dk);
-                    if a == b {
-                        buf_i[c] = i as u32;
-                        buf_o[c] = (base + j) as u32;
-                        c += 1;
-                    }
-                    i += usize::from(a <= b);
-                    j += usize::from(a >= b);
-                }
-                inputs.extend_from_slice(&buf_i[..c]);
-                outputs.extend_from_slice(&buf_o[..c]);
-                counts[w + 1] = inputs.len();
+        // Mirrors: transpose the probed group, counting-sorted by
+        // its input index — the mirrored group's output — so the
+        // golden per-group emission order (ascending output) holds.
+        // The probed + center groups all precede the mirrored ones,
+        // so one split separates reads from writes.
+        let split = offsets[center + 1];
+        let (in_src, in_dst) = inputs.split_at_mut(split);
+        let (out_src, out_dst) = outputs.split_at_mut(split);
+        let mut pos = vec![0u32; n_in + 1];
+        for w in 0..center {
+            let src = offsets[w]..offsets[w + 1];
+            let dst0 = offsets[v - 1 - w] - split;
+            pos.fill(0);
+            for &p in &in_src[src.clone()] {
+                pos[p as usize + 1] += 1;
             }
-            BucketHits { inputs, outputs, offsets: counts }
-        };
-
-        let work = qs.len().saturating_mul(v);
-        let parts: Vec<BucketHits> = if work >= KERNEL_PAR_WORK && worker_threads() > 1 {
-            // Several buckets per worker for balance; large enough that
-            // the per-bucket sort and merge copies stay amortized.
-            let chunk = qs.len().div_ceil(worker_threads() * 4).max(256);
-            let jobs: Vec<(usize, &[Coord])> =
-                qs.chunks(chunk).enumerate().map(|(i, c)| (i * chunk, c)).collect();
-            parallel_map(&jobs, probe_bucket)
-        } else {
-            vec![probe_bucket(&(0, qs))]
-        };
-
-        // Deterministic merge: weight-major over buckets in output
-        // order, straight into the table's SoA storage. Derived groups
-        // (self-map only) mirror the probed totals; the center offset
-        // maps every point to itself.
-        let mut group_len = vec![0usize; v];
-        for part in &parts {
-            for (w, len) in group_len[..n_probe].iter_mut().enumerate() {
-                *len += part.group_len(w);
+            for b in 0..n_in {
+                pos[b + 1] += pos[b];
+            }
+            for (&p, &q) in in_src[src.clone()].iter().zip(&out_src[src.clone()]) {
+                let at = dst0 + pos[p as usize] as usize;
+                in_dst[at] = q;
+                out_dst[at] = p;
+                pos[p as usize] += 1;
             }
         }
-        if self_map {
-            for w in 0..center {
-                group_len[v - 1 - w] = group_len[w];
-            }
-            group_len[center] = n_in;
-        }
-        let mut offsets = vec![0usize; v + 1];
-        for (w, &len) in group_len.iter().enumerate() {
-            offsets[w + 1] = offsets[w] + len;
-        }
-        let total = offsets[v];
-        let mut inputs = vec![0u32; total];
-        let mut outputs = vec![0u32; total];
-        let mut cursor = offsets[..n_probe].to_vec();
-        for part in &parts {
-            for (w, at) in cursor.iter_mut().enumerate() {
-                let (pi, qi) = part.group(w);
-                inputs[*at..*at + pi.len()].copy_from_slice(pi);
-                outputs[*at..*at + qi.len()].copy_from_slice(qi);
-                *at += pi.len();
-            }
-        }
-        if self_map {
-            // Center: the identity map, in ascending output order.
-            let at = offsets[center];
-            for (i, (pi, qi)) in
-                inputs[at..at + n_in].iter_mut().zip(&mut outputs[at..at + n_in]).enumerate()
-            {
-                *pi = i as u32;
-                *qi = i as u32;
-            }
-            // Mirrors: transpose the probed group, counting-sorted by
-            // its input index — the mirrored group's output — so the
-            // golden per-group emission order (ascending output) holds.
-            // The probed + center groups all precede the mirrored ones,
-            // so one split separates reads from writes.
-            let split = offsets[center + 1];
-            let (in_src, in_dst) = inputs.split_at_mut(split);
-            let (out_src, out_dst) = outputs.split_at_mut(split);
-            let mut pos = vec![0u32; n_in + 1];
-            for w in 0..center {
-                let src = offsets[w]..offsets[w + 1];
-                let dst0 = offsets[v - 1 - w] - split;
-                pos.fill(0);
-                for &p in &in_src[src.clone()] {
-                    pos[p as usize + 1] += 1;
-                }
-                for b in 0..n_in {
-                    pos[b + 1] += pos[b];
-                }
-                for (&p, &q) in in_src[src.clone()].iter().zip(&out_src[src.clone()]) {
-                    let at = dst0 + pos[p as usize] as usize;
-                    in_dst[at] = q;
-                    out_dst[at] = p;
-                    pos[p as usize] += 1;
-                }
-            }
-        }
-        MapTable::from_soa(inputs, outputs, offsets)
     }
+    MapTable::from_soa(inputs, outputs, offsets)
 }
 
 /// [`Coord::key`]'s 21-bit-lane sibling: packs a coordinate whose lanes
 /// all lie in ±2^19 into a `u64` that preserves the lexicographic coord
 /// order. The headroom above the guard is what lets kernel-map probes
-/// add a per-offset delta with one wrapping add — see
-/// [`Indexed::kernel_map`].
+/// add a per-offset delta with one wrapping add — see [`kernel_map`].
 fn key64(c: Coord) -> u64 {
     const BIAS: i64 = 1 << 20;
     (((c.x as i64 + BIAS) as u64) << 42)
@@ -962,17 +827,11 @@ impl BucketHits {
     }
 }
 
-/// Parallel-FPS gating, as a single predicate: the op's work is `n·m`
-/// distance evaluations — below [`FPS_PAR_WORK`] the per-iteration
-/// barrier costs more than it splits, and above it each worker still
-/// needs a chunk of at least [`FPS_MIN_CHUNK`] points to amortize its
-/// share of the barrier traffic. Returns 1 (stay serial) or the capped
-/// worker count.
-///
-/// (Replaces the former `min(n / 2048).max(1)` gating, whose `max(1)`
-/// clamp made the `workers <= 1` guard fire for every `n < 4096`
-/// regardless of `m` — leaving the work threshold dead for mid-size
-/// clouds with large sample counts.)
+/// FPS chunk count, as a single predicate: the op's work is `n·m`
+/// distance evaluations — below [`FPS_PAR_WORK`] a per-iteration pool
+/// round costs more than it splits, and above it each chunk still needs
+/// at least [`FPS_MIN_CHUNK`] points to amortize its share of the round.
+/// Returns 1 (one chunk, run on the caller) or the capped worker count.
 fn fps_workers(available: usize, n: usize, m: usize) -> usize {
     if (n as u64).saturating_mul(m as u64) < FPS_PAR_WORK {
         1
@@ -1005,17 +864,6 @@ impl FpsTile {
     }
 }
 
-/// Work accounting from one pruned-FPS run, for the MPU cycle model
-/// (`Mpu::fps_cycles_estimate_pruned`) and the bench trajectory.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FpsWork {
-    /// Candidate points whose distance to a selected point was actually
-    /// evaluated (the pruned inner-loop trip count).
-    pub scanned: u64,
-    /// What a dense sweep would have evaluated: `n · (m − 1)`.
-    pub dense: u64,
-}
-
 /// Packs a running min-distance and original point index into the
 /// total-order arg-max key: `(dist² bits << 32) | (MAX − index)`, so
 /// `max` picks the greatest distance with ties to the **lowest** index —
@@ -1026,7 +874,7 @@ fn fps_key(dmin: f32, index: u32) -> u64 {
     ((dmin.to_bits() as u64) << 32) | u64::from(u32::MAX - index)
 }
 
-/// One worker's contiguous share of the pruned-FPS state: the running
+/// One chunk's contiguous share of the pruned-FPS state: the running
 /// min-distances of its slot range plus the cached per-tile arg-max
 /// keys and upper bounds.
 struct FpsChunk<'a> {
@@ -1039,6 +887,8 @@ struct FpsChunk<'a> {
     /// `dmin` entries are unchanged, which is precisely what the skip
     /// condition proves.
     keys: Vec<u64>,
+    /// Slots whose distance to a selected point was evaluated so far
+    /// (the pruned inner-loop trip count).
     scanned: u64,
 }
 
@@ -1127,109 +977,48 @@ fn fps_tile_len(n: usize) -> usize {
 
 /// Bucket-pruned **exact** farthest point sampling over a [`GridIndex`]
 /// of the cloud (its `O(n)` build amortizes over the `m` pruned
-/// iterations).
+/// iterations), with the Morton slot range split into `chunks`
+/// tile-aligned chunks.
 ///
 /// The running min-distance array lives in Morton slot order; tiles of
 /// ~√n consecutive slots cache their arg-max key (max dmin, ties to the
 /// lowest original index, packed by [`fps_key`]). Per iteration a tile
 /// whose AABB gap to the new point is ≥ its cached max dmin is skipped
 /// outright — the gap lower-bounds every new distance, so no update
-/// could fire and the cached key is still exact — and the global
-/// arg-max reduces over per-tile keys. Selection is therefore
-/// **bit-identical to [`golden::farthest_point_sampling`]** on every
-/// input (property-tested on adversarial clouds, including +∞
-/// coordinates, in `tests/mapping_backends.rs`); only the amount of
-/// scanned work changes, and that is reported in [`FpsWork`].
-pub fn fps_pruned(points: &PointSet, m: usize) -> (Vec<usize>, FpsWork) {
-    let n = points.len();
-    let mut work =
-        FpsWork { scanned: 0, dense: (n as u64).saturating_mul(m.saturating_sub(1) as u64) };
-    if m == 0 || n == 0 {
-        return (Vec::new(), work);
-    }
-    let index = GridIndex::build(points.points());
-    let mut chunk = FpsChunk::new(&index, 0, n, fps_tile_len(n));
-    let mut selected = Vec::with_capacity(m);
-    let mut current = 0usize;
-    selected.push(current);
-    for _ in 1..m {
-        let key = chunk.step(index.points[current]);
-        current = (u32::MAX - (key & 0xFFFF_FFFF) as u32) as usize;
-        selected.push(current);
-    }
-    work.scanned = chunk.scanned;
-    (selected, work)
-}
-
-/// Exact chunk-parallel farthest point sampling: the pruned algorithm
-/// of [`fps_pruned`] with the Morton slot range split into
-/// per-worker chunks (tile boundaries never straddle chunks).
+/// could fire and the cached key is still exact.
 ///
-/// Each iteration is one persistent-pool round ([`parallel_map_with`]):
-/// every chunk updates its own tiles and returns its arg-max key, and
-/// the cross-chunk `max` over the ordered results implements exactly
-/// the serial scan's policy (greatest distance, ties to the lowest
-/// original index) — so the selection is bit-identical to golden for
-/// every worker count, and no barrier or thread spawn is involved.
-fn fps_parallel(points: &PointSet, m: usize, workers: usize) -> Vec<usize> {
+/// Each iteration is one [`parallel_map_with`] round over the chunks
+/// (one chunk is one item, which runs inline on the caller): every chunk
+/// updates its own tiles and returns its arg-max key, and the `max` over
+/// those keys implements exactly the serial scan's policy (greatest
+/// distance, ties to the lowest original index). Selection is therefore
+/// **bit-identical to [`golden::farthest_point_sampling`]** for every
+/// input and chunk count (property-tested on adversarial clouds,
+/// including +∞ coordinates, in `tests/mapping_backends.rs`).
+pub fn fps_pruned(points: &PointSet, m: usize, chunks: usize) -> Vec<usize> {
     let n = points.len();
     if m == 0 || n == 0 {
         return Vec::new();
     }
     let index = GridIndex::build(points.points());
     let tile_len = fps_tile_len(n);
-    // Chunk boundaries in whole tiles, sized for `workers` chunks.
-    let tiles_total = n.div_ceil(tile_len);
-    let tiles_per_chunk = tiles_total.div_ceil(workers).max(1);
-    let mut chunks: Vec<Mutex<FpsChunk>> = Vec::new();
-    let mut lo = 0usize;
-    while lo < n {
-        let hi = (lo + tiles_per_chunk * tile_len).min(n);
-        chunks.push(Mutex::new(FpsChunk::new(&index, lo, hi, tile_len)));
-        lo = hi;
-    }
-    let workers = chunks.len();
+    // Chunk boundaries in whole tiles, sized for `chunks` chunks.
+    let chunk_len = n.div_ceil(tile_len).div_ceil(chunks.max(1)) * tile_len;
+    let chunks: Vec<Mutex<FpsChunk>> = (0..n)
+        .step_by(chunk_len)
+        .map(|lo| Mutex::new(FpsChunk::new(&index, lo, (lo + chunk_len).min(n), tile_len)))
+        .collect();
     let mut selected = Vec::with_capacity(m);
     let mut current = 0usize;
     selected.push(current);
     for _ in 1..m {
         let q = index.points[current];
-        let keys = parallel_map_with(workers, &chunks, |c| lock(c).step(q));
+        let keys = parallel_map_with(chunks.len(), &chunks, |c| lock(c).step(q));
         let key = keys.into_iter().max().unwrap_or(0);
         current = (u32::MAX - (key & 0xFFFF_FFFF) as u32) as usize;
         selected.push(current);
     }
     selected
-}
-
-/// The golden oracle backend instance.
-pub static GOLDEN: Golden = Golden;
-/// The grid-hash production backend instance.
-pub static INDEXED: Indexed = Indexed;
-
-/// Resolves a backend by name (`"golden"` / `"indexed"`).
-pub fn backend_by_name(name: &str) -> Option<&'static dyn MappingBackend> {
-    match name {
-        "golden" => Some(&GOLDEN),
-        "indexed" => Some(&INDEXED),
-        _ => None,
-    }
-}
-
-/// The process-wide default backend: [`Indexed`], unless
-/// `POINTACC_BACKEND=golden` forces the oracle. The environment is read
-/// **once** per process; code that needs a specific backend should pass
-/// it explicitly (e.g. `Executor::with_backend`,
-/// `KernelMap::unit_stride_with`).
-pub fn default_backend() -> &'static dyn MappingBackend {
-    static CHOICE: std::sync::OnceLock<&'static dyn MappingBackend> = std::sync::OnceLock::new();
-    *CHOICE.get_or_init(|| {
-        // lint: allow(env-var): designated read-once accessor for POINTACC_BACKEND.
-        std::env::var("POINTACC_BACKEND")
-            .ok()
-            .and_then(|name| backend_by_name(&name))
-            .unwrap_or(&INDEXED)
-    })
 }
 
 #[cfg(test)]
@@ -1339,21 +1128,21 @@ mod tests {
         let input = pseudo_points(220, 1);
         let queries = pseudo_points(35, 2);
         assert_eq!(
-            INDEXED.k_nearest_neighbors(&input, &queries, 9),
-            GOLDEN.k_nearest_neighbors(&input, &queries, 9)
+            k_nearest_neighbors(&input, &queries, 9),
+            golden::k_nearest_neighbors(&input, &queries, 9)
         );
         assert_eq!(
-            INDEXED.ball_query_padded(&input, &queries, 4.0, 8),
-            GOLDEN.ball_query_padded(&input, &queries, 4.0, 8)
+            ball_query_padded(&input, &queries, 4.0, 8),
+            golden::ball_query_padded(&input, &queries, 4.0, 8)
         );
         assert_eq!(
-            INDEXED.farthest_point_sampling(&input, 64),
-            GOLDEN.farthest_point_sampling(&input, 64)
+            farthest_point_sampling(&input, 64),
+            golden::farthest_point_sampling(&input, 64)
         );
         let cloud = pseudo_cloud(150, 5, 1);
         assert_eq!(
-            INDEXED.kernel_map(&cloud, &cloud, 3).canonicalized(),
-            GOLDEN.kernel_map(&cloud, &cloud, 3).canonicalized()
+            kernel_map(&cloud, &cloud, 3).canonicalized(),
+            golden::kernel_map_hash(&cloud, &cloud, 3).canonicalized()
         );
     }
 
@@ -1362,37 +1151,29 @@ mod tests {
         // Big enough to cross FPS_PAR_WORK with several workers.
         let pts = pseudo_points(8192, 17);
         let want = golden::farthest_point_sampling(&pts, 300);
-        assert_eq!(fps_parallel(&pts, 300, 4), want);
-        assert_eq!(INDEXED.farthest_point_sampling(&pts, 300), want);
+        assert_eq!(fps_pruned(&pts, 300, 1), want);
+        assert_eq!(fps_pruned(&pts, 300, 4), want);
+        assert_eq!(farthest_point_sampling(&pts, 300), want);
     }
 
     #[test]
     fn padded_ball_query_on_empty_input_is_empty() {
         let queries = pseudo_points(4, 3);
         let empty = PointSet::new();
-        let out = INDEXED.ball_query_padded(&empty, &queries, 1.0, 4);
+        let out = ball_query_padded(&empty, &queries, 1.0, 4);
         assert_eq!(out, vec![Vec::<usize>::new(); 4]);
-    }
-
-    #[test]
-    fn backend_lookup_by_name() {
-        assert_eq!(backend_by_name("indexed").map(|b| b.name()), Some("indexed"));
-        assert_eq!(backend_by_name("golden").map(|b| b.name()), Some("golden"));
-        assert!(backend_by_name("quantum").is_none());
-        assert!(!default_backend().name().is_empty());
+        assert_eq!(out, golden::ball_query_padded(&empty, &queries, 1.0, 4));
     }
 
     #[test]
     fn fps_gating_is_one_predicate() {
-        // Below the work threshold: serial regardless of availability.
+        // Below the work threshold: one chunk regardless of availability.
         assert_eq!(fps_workers(8, 4096, 511), 1);
-        // At the threshold (4096·512 = FPS_PAR_WORK): parallel.
+        // At the threshold (4096·512 = FPS_PAR_WORK): two chunks.
         assert_eq!(fps_workers(8, 4096, 512), 2);
-        // Mid-size cloud, large m: the old min-then-max gating clamped
-        // to 1 worker for every n < 2·FPS_MIN_CHUNK, even with n·m far
-        // above the threshold. One predicate, so this parallelizes.
+        // Mid-size cloud, large m: n·m alone decides, so this splits.
         assert_eq!(fps_workers(8, 3000, 1000), 2);
-        // Worker count caps at availability.
+        // Chunk count caps at availability.
         assert_eq!(fps_workers(2, 1 << 20, 64), 2);
         // m = 0 does no update work.
         assert_eq!(fps_workers(8, 1 << 20, 0), 1);
@@ -1402,14 +1183,22 @@ mod tests {
     fn pruned_fps_is_bit_identical_to_golden_and_prunes_work() {
         let pts = pseudo_points(4096, 41);
         for m in [1usize, 2, 37, 300] {
-            let (sel, work) = fps_pruned(&pts, m);
-            assert_eq!(sel, golden::farthest_point_sampling(&pts, m), "m={m}");
-            assert!(work.scanned <= work.dense, "m={m}: {work:?}");
+            assert_eq!(fps_pruned(&pts, m, 1), golden::farthest_point_sampling(&pts, m), "m={m}");
         }
         // At a realistic sampling ratio the bound scan must actually
-        // prune: this cloud drops well below half the dense sweep.
-        let (_, work) = fps_pruned(&pts, 512);
-        assert!(work.scanned * 2 < work.dense, "no pruning happened: {work:?}");
+        // prune: a whole-cloud chunk stepped through the 512 golden
+        // selections picks each next one while scanning well below half
+        // the dense sweep.
+        let m = 512;
+        let sel = golden::farthest_point_sampling(&pts, m);
+        let index = GridIndex::build(pts.points());
+        let mut chunk = FpsChunk::new(&index, 0, pts.len(), fps_tile_len(pts.len()));
+        for w in sel.windows(2) {
+            let key = chunk.step(pts.point(w[0]));
+            assert_eq!((u32::MAX - key as u32) as usize, w[1]);
+        }
+        let dense = (pts.len() * (m - 1)) as u64;
+        assert!(chunk.scanned * 2 < dense, "no pruning: scanned {} of {dense}", chunk.scanned);
     }
 
     #[test]
@@ -1417,17 +1206,17 @@ mod tests {
         // All-identical points: every dmin collapses to 0 and golden
         // re-selects index 0 forever — the packed key must reproduce it.
         let dup: PointSet = (0..64).map(|_| Point3::new(1.0, 2.0, 3.0)).collect();
-        assert_eq!(fps_pruned(&dup, 5).0, golden::farthest_point_sampling(&dup, 5));
+        assert_eq!(fps_pruned(&dup, 5, 1), golden::farthest_point_sampling(&dup, 5));
         // Collinear cloud.
         let line: PointSet = (0..257).map(|i| Point3::new(i as f32, 0.0, 0.0)).collect();
-        assert_eq!(fps_pruned(&line, 31).0, golden::farthest_point_sampling(&line, 31));
+        assert_eq!(fps_pruned(&line, 31, 1), golden::farthest_point_sampling(&line, 31));
         // A +∞ coordinate: dmin stays +∞, its tile is never skipped, and
         // golden keeps re-selecting it — exactness must survive.
         let mut pts: Vec<Point3> =
             (0..128).map(|i| Point3::new(i as f32, (i % 7) as f32, 0.0)).collect();
         pts[17] = Point3::new(f32::INFINITY, 0.0, 0.0);
         let inf: PointSet = pts.into_iter().collect();
-        assert_eq!(fps_pruned(&inf, 9).0, golden::farthest_point_sampling(&inf, 9));
+        assert_eq!(fps_pruned(&inf, 9, 1), golden::farthest_point_sampling(&inf, 9));
     }
 
     #[test]
@@ -1446,13 +1235,13 @@ mod tests {
         // within-group output order the cache simulator binary-searches.
         let cloud = pseudo_cloud(500, 77, 1);
         for ks in [2usize, 3] {
-            let got = INDEXED.kernel_map(&cloud, &cloud, ks);
-            let want = GOLDEN.kernel_map(&cloud, &cloud, ks);
+            let got = kernel_map(&cloud, &cloud, ks);
+            let want = golden::kernel_map_hash(&cloud, &cloud, ks);
             assert_eq!(got.to_entries(), want.to_entries(), "kernel_size={ks}");
         }
         let (coarse, _) = cloud.downsample(2);
-        let got = INDEXED.kernel_map(&cloud, &coarse, 2);
-        let want = GOLDEN.kernel_map(&cloud, &coarse, 2);
+        let got = kernel_map(&cloud, &coarse, 2);
+        let want = golden::kernel_map_hash(&cloud, &coarse, 2);
         assert_eq!(got.to_entries(), want.to_entries());
     }
 

@@ -4,15 +4,15 @@
 //! lattice coordinates, continuous points, clouds, feature matrices and
 //! map tables — plus two implementations of every mapping operation the
 //! paper discusses (farthest point sampling, k-nearest neighbors, ball
-//! query, kernel mapping, coordinate quantization):
+//! query, kernel mapping):
 //!
-//! - [`golden`] — brute-force **reference oracles**, kept deliberately
-//!   naive so they are easy to audit, and
-//! - [`index`] — the production [`index::MappingBackend`] surface:
-//!   grid-hash spatial indexing with per-query/per-offset parallelism
-//!   ([`index::Indexed`], the process default) next to the oracle
-//!   ([`index::Golden`]), bit-identical by construction and enforced by
-//!   the property suite in `tests/mapping_backends.rs`.
+//! - [`index`] — the production ops every consumer calls:
+//!   grid-hash spatial indexing, bucket-pruned FPS and fused kernel maps
+//!   with per-query/per-chunk/per-bucket parallelism, and
+//! - [`golden`] — brute-force **reference oracles** with the same names,
+//!   kept deliberately naive so they are easy to audit; the property
+//!   suite in `tests/mapping_backends.rs` holds each [`index`] op
+//!   bit-identical to its golden twin.
 //!
 //! The accelerator model in the `pointacc` crate implements the same
 //! operations with the hardware's ranking-based algorithms and is tested
@@ -52,5 +52,5 @@ pub mod par;
 pub use cloud::{PointSet, VoxelCloud};
 pub use coord::Coord;
 pub use feature::FeatureMatrix;
-pub use maps::{KernelMap, KernelMapError, MapEntry, MapTable, MapTableError};
+pub use maps::{KernelMap, MapEntry, MapTable, MapTableError};
 pub use point::Point3;

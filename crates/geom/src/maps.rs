@@ -16,7 +16,7 @@
 //! for SparseConv layers (unit stride, stride-`s` downsampling, and
 //! transposed upsampling on the decoder path).
 
-use crate::index::{default_backend, MappingBackend};
+use crate::index::kernel_map;
 use crate::VoxelCloud;
 
 /// One `(input, output, weight)` map tuple.
@@ -57,7 +57,7 @@ impl<'a> MapGroup<'a> {
     }
 
     /// Output point index of every map in the group, in emission order
-    /// (ascending for tables built by the mapping backends).
+    /// (ascending for tables built by the mapping ops).
     pub fn outputs(&self) -> &'a [u32] {
         self.outputs
     }
@@ -352,90 +352,6 @@ impl MapTable {
         v.sort_by_key(|e| (e.weight, e.output, e.input));
         v
     }
-
-    /// Average number of times each distinct input point is referenced
-    /// (feature-reuse factor; drives the cache hit rate of Fig. 18).
-    pub fn input_reuse(&self) -> f64 {
-        if self.inputs.is_empty() {
-            return 0.0;
-        }
-        let mut inputs = self.inputs.clone();
-        inputs.sort_unstable();
-        inputs.dedup();
-        self.inputs.len() as f64 / inputs.len() as f64
-    }
-}
-
-/// Why a `(table, geometry)` pair cannot form a valid [`KernelMap`]
-/// (returned by [`KernelMap::try_new`]), naming the offending weight
-/// group and entry so diagnostics point at the exact map.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum KernelMapError {
-    /// The table itself violates the CSR invariants.
-    Table(MapTableError),
-    /// The table's weight-group count is not the declared kernel volume.
-    VolumeMismatch {
-        /// Declared kernel volume (`kernel_size³`).
-        kernel_volume: usize,
-        /// Weight groups the table actually holds.
-        n_weights: usize,
-    },
-    /// A map's input index is outside the declared input cloud.
-    InputOutOfBounds {
-        /// Weight group holding the offending map.
-        group: usize,
-        /// Entry position within the group.
-        entry: usize,
-        /// The out-of-range input index.
-        index: u32,
-        /// Declared input cloud size the index must stay below.
-        n_in: usize,
-    },
-    /// A map's output index is outside the declared output cloud.
-    OutputOutOfBounds {
-        /// Weight group holding the offending map.
-        group: usize,
-        /// Entry position within the group.
-        entry: usize,
-        /// The out-of-range output index.
-        index: u32,
-        /// Declared output cloud size the index must stay below.
-        n_out: usize,
-    },
-}
-
-impl std::fmt::Display for KernelMapError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match *self {
-            KernelMapError::Table(ref e) => write!(f, "malformed map table: {e}"),
-            KernelMapError::VolumeMismatch { kernel_volume, n_weights } => {
-                write!(f, "kernel volume {kernel_volume} != {n_weights} weight groups")
-            }
-            KernelMapError::InputOutOfBounds { group, entry, index, n_in } => write!(
-                f,
-                "map (group {group}, entry {entry}) input {index} outside input cloud of {n_in}"
-            ),
-            KernelMapError::OutputOutOfBounds { group, entry, index, n_out } => write!(
-                f,
-                "map (group {group}, entry {entry}) output {index} outside output cloud of {n_out}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for KernelMapError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            KernelMapError::Table(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<MapTableError> for KernelMapError {
-    fn from(e: MapTableError) -> Self {
-        KernelMapError::Table(e)
-    }
 }
 
 /// The complete kernel map of one sparse convolution layer: the
@@ -472,89 +388,19 @@ pub struct KernelMap {
 
 impl KernelMap {
     fn new(table: MapTable, n_in: usize, n_out: usize, kernel_volume: usize) -> Self {
-        // The mapping backends construct in-bounds tables by design;
-        // debug builds re-prove it through the typed checker so a backend
-        // regression names the offending group/entry instead of failing
-        // later inside a gather.
-        debug_assert!(
-            Self::check(&table, n_in, n_out, kernel_volume).is_ok(),
-            "kernel map references out-of-range points: {:?}",
-            Self::check(&table, n_in, n_out, kernel_volume)
-        );
-        KernelMap { table, n_in, n_out, kernel_volume }
-    }
-
-    /// Builds a kernel map from parts that did **not** come from a
-    /// trusted mapping backend, verifying the table's CSR invariants,
-    /// the group-count/kernel-volume agreement and every index bound —
-    /// the typed-error counterpart of the backend constructors.
-    pub fn try_new(
-        table: MapTable,
-        n_in: usize,
-        n_out: usize,
-        kernel_volume: usize,
-    ) -> Result<Self, KernelMapError> {
-        Self::check(&table, n_in, n_out, kernel_volume)?;
-        Ok(KernelMap { table, n_in, n_out, kernel_volume })
-    }
-
-    /// The invariant body of [`KernelMap::try_new`], naming the first
-    /// offending group/entry on failure.
-    fn check(
-        table: &MapTable,
-        n_in: usize,
-        n_out: usize,
-        kernel_volume: usize,
-    ) -> Result<(), KernelMapError> {
-        table.validate()?;
-        if table.n_weights() != kernel_volume {
-            return Err(KernelMapError::VolumeMismatch {
-                kernel_volume,
-                n_weights: table.n_weights(),
-            });
-        }
-        for group in 0..table.n_weights() {
-            let g = table.group(group);
-            for (entry, (&input, &output)) in g.inputs().iter().zip(g.outputs()).enumerate() {
-                if input as usize >= n_in {
-                    return Err(KernelMapError::InputOutOfBounds {
-                        group,
-                        entry,
-                        index: input,
-                        n_in,
-                    });
-                }
-                if output as usize >= n_out {
-                    return Err(KernelMapError::OutputOutOfBounds {
-                        group,
-                        entry,
-                        index: output,
-                        n_out,
-                    });
-                }
-            }
-        }
-        Ok(())
+        let km = KernelMap { table, n_in, n_out, kernel_volume };
+        // The mapping ops construct in-bounds tables by design; debug
+        // builds re-prove it so a mapping regression fails here instead
+        // of later inside a gather.
+        debug_assert!(km.is_within_bounds(), "kernel map references out-of-range points");
+        km
     }
 
     /// Maps of a stride-1 convolution: input and output share `cloud`'s
     /// coordinates, so every voxel maps onto itself through the center
     /// offset (odd kernels) plus one map per occupied neighbor offset.
-    ///
-    /// Built through the process-wide
-    /// [`default_backend`](crate::index::default_backend); use
-    /// [`KernelMap::unit_stride_with`] to pin a backend explicitly.
     pub fn unit_stride(cloud: &VoxelCloud, kernel_size: usize) -> Self {
-        Self::unit_stride_with(default_backend(), cloud, kernel_size)
-    }
-
-    /// [`KernelMap::unit_stride`] through an explicit mapping backend.
-    pub fn unit_stride_with(
-        backend: &dyn MappingBackend,
-        cloud: &VoxelCloud,
-        kernel_size: usize,
-    ) -> Self {
-        let table = backend.kernel_map(cloud, cloud, kernel_size);
+        let table = kernel_map(cloud, cloud, kernel_size);
         KernelMap::new(table, cloud.len(), cloud.len(), kernel_size.pow(3))
     }
 
@@ -562,23 +408,9 @@ impl KernelMap {
     /// `cloud` to the coarser lattice, then maps every input voxel into
     /// the output cell it falls in. Returns the coarse cloud alongside
     /// the maps (the executor threads it to the next layer).
-    ///
-    /// Built through the process-wide
-    /// [`default_backend`](crate::index::default_backend); use
-    /// [`KernelMap::downsample_with`] to pin a backend explicitly.
     pub fn downsample(cloud: &VoxelCloud, kernel_size: usize, stride: i32) -> (VoxelCloud, Self) {
-        Self::downsample_with(default_backend(), cloud, kernel_size, stride)
-    }
-
-    /// [`KernelMap::downsample`] through an explicit mapping backend.
-    pub fn downsample_with(
-        backend: &dyn MappingBackend,
-        cloud: &VoxelCloud,
-        kernel_size: usize,
-        stride: i32,
-    ) -> (VoxelCloud, Self) {
         let (coarse, _) = cloud.downsample(stride);
-        let table = backend.kernel_map(cloud, &coarse, kernel_size);
+        let table = kernel_map(cloud, &coarse, kernel_size);
         let km = KernelMap::new(table, cloud.len(), coarse.len(), kernel_size.pow(3));
         (coarse, km)
     }
@@ -587,22 +419,8 @@ impl KernelMap {
     /// back onto `fine`: exactly the forward `fine → coarse` map with
     /// inputs/outputs swapped and the weight index mirrored — the
     /// decoder counterpart of [`KernelMap::downsample`].
-    ///
-    /// Built through the process-wide
-    /// [`default_backend`](crate::index::default_backend); use
-    /// [`KernelMap::transposed_with`] to pin a backend explicitly.
     pub fn transposed(fine: &VoxelCloud, coarse: &VoxelCloud, kernel_size: usize) -> Self {
-        Self::transposed_with(default_backend(), fine, coarse, kernel_size)
-    }
-
-    /// [`KernelMap::transposed`] through an explicit mapping backend.
-    pub fn transposed_with(
-        backend: &dyn MappingBackend,
-        fine: &VoxelCloud,
-        coarse: &VoxelCloud,
-        kernel_size: usize,
-    ) -> Self {
-        let table = backend.kernel_map(fine, coarse, kernel_size).transpose();
+        let table = kernel_map(fine, coarse, kernel_size).transpose();
         KernelMap::new(table, coarse.len(), fine.len(), kernel_size.pow(3))
     }
 
@@ -745,15 +563,6 @@ mod tests {
     }
 
     #[test]
-    fn input_reuse_counts_duplicates() {
-        let t = MapTable::from_entries(
-            vec![MapEntry::new(0, 0, 0), MapEntry::new(0, 1, 0), MapEntry::new(1, 1, 0)],
-            1,
-        );
-        assert!((t.input_reuse() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
     #[should_panic(expected = "weight index out of range")]
     fn weight_out_of_range_rejected() {
         let _ = MapTable::from_entries(vec![MapEntry::new(0, 0, 5)], 2);
@@ -812,36 +621,6 @@ mod tests {
             let truncated =
                 KernelMap { table: km.table().clone(), n_in: 1, n_out: 1, kernel_volume: 27 };
             assert!(!truncated.is_within_bounds());
-        }
-
-        #[test]
-        fn try_new_accepts_backend_output_and_names_violations() {
-            let c = cloud();
-            let km = KernelMap::unit_stride(&c, 3);
-            let ok = KernelMap::try_new(km.table().clone(), km.n_in(), km.n_out(), 27)
-                .expect("backend tables are in bounds");
-            assert_eq!(ok, km);
-            // Wrong kernel volume.
-            assert_eq!(
-                KernelMap::try_new(km.table().clone(), km.n_in(), km.n_out(), 8),
-                Err(KernelMapError::VolumeMismatch { kernel_volume: 8, n_weights: 27 })
-            );
-            // Truncated input cloud: the error names the first bad map.
-            let err = KernelMap::try_new(km.table().clone(), 1, km.n_out(), 27).unwrap_err();
-            assert!(
-                matches!(err, KernelMapError::InputOutOfBounds { n_in: 1, index, .. } if index >= 1),
-                "{err:?}"
-            );
-            // Truncated output cloud.
-            let err = KernelMap::try_new(km.table().clone(), km.n_in(), 1, 27).unwrap_err();
-            assert!(matches!(err, KernelMapError::OutputOutOfBounds { n_out: 1, .. }), "{err:?}");
-        }
-
-        #[test]
-        fn try_new_rejects_malformed_tables() {
-            let t = MapTable::from_entries(vec![MapEntry::new(0, 0, 0)], 1);
-            let err = KernelMap::try_new(t, 0, 1, 1).unwrap_err();
-            assert!(matches!(err, KernelMapError::InputOutOfBounds { .. }), "{err:?}");
         }
     }
 

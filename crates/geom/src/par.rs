@@ -1,6 +1,6 @@
 //! Persistent-pool thread-parallel map, shared by the whole workspace.
 //!
-//! This lives at the bottom of the crate graph so the mapping backends in
+//! This lives at the bottom of the crate graph so the mapping ops in
 //! [`crate::index`] can parallelize per-query and per-offset work with
 //! the *same* scheduler the bench harness uses for (engine × benchmark ×
 //! seed) grids — `pointacc_bench::harness` re-exports these functions

@@ -2,19 +2,19 @@
 //! CPU arithmetic, producing functional outputs **and** the
 //! [`NetworkTrace`] every hardware model replays.
 //!
-//! Mapping operations run on a `pointacc_geom` [`MappingBackend`] — the
-//! grid-hash [`Indexed`](pointacc_geom::index::Indexed) backend by
-//! default, bit-identical to the golden oracle (and to the PointAcc
-//! mapping unit), so swapping backends never perturbs traces or
-//! features. SparseConv layers execute the MinkowskiEngine-style
-//! gather–GEMM–scatter flow over [`KernelMap`]s with per-offset weights
-//! from the seeded [`WeightGen`], so [`ExecMode::Full`] yields real,
-//! reproducible features for voxel networks end to end.
+//! Mapping operations run on the production ops of
+//! [`pointacc_geom::index`], which are bit-identical to the golden
+//! oracle (and to the PointAcc mapping unit), so traces and features
+//! match what the brute-force algorithms would produce. SparseConv
+//! layers execute the MinkowskiEngine-style gather–GEMM–scatter flow
+//! over [`KernelMap`]s with per-offset weights from the seeded
+//! [`WeightGen`], so [`ExecMode::Full`] yields real, reproducible
+//! features for voxel networks end to end.
 //!
 //! Malformed network/tensor combinations never panic: every fault is a
 //! typed [`ExecError`] from [`Executor::try_run`].
 
-use pointacc_geom::index::{default_backend, dist_key, MappingBackend};
+use pointacc_geom::index::{self, dist_key};
 use pointacc_geom::par::{parallel_map_with, worker_threads};
 use pointacc_geom::{golden, FeatureMatrix, KernelMap, MapTable, Point3, PointSet, VoxelCloud};
 
@@ -76,23 +76,11 @@ pub struct ExecOutput {
 /// let out = Executor::new(ExecMode::Full, 42).run(&net, &pts);
 /// assert_eq!(out.features.rows(), 1); // classification head
 /// ```
-#[derive(Copy, Clone)]
+#[derive(Copy, Clone, Debug)]
 pub struct Executor {
     mode: ExecMode,
     weights: WeightGen,
-    backend: &'static dyn MappingBackend,
     options: ExecOptions,
-}
-
-impl std::fmt::Debug for Executor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Executor")
-            .field("mode", &self.mode)
-            .field("weights", &self.weights)
-            .field("backend", &self.backend.name())
-            .field("options", &self.options)
-            .finish()
-    }
 }
 
 /// Current tensor flowing through the network.
@@ -128,19 +116,9 @@ struct Ctx {
 }
 
 impl Executor {
-    /// Creates an executor with the given fidelity and weight seed,
-    /// running mapping operations on the process-wide
-    /// [`default_backend`] (the grid-hash `Indexed` backend unless
-    /// `POINTACC_BACKEND=golden`).
+    /// Creates an executor with the given fidelity and weight seed.
     pub fn new(mode: ExecMode, seed: u64) -> Self {
-        Executor::with_backend(mode, seed, default_backend())
-    }
-
-    /// [`Executor::new`] pinned to an explicit mapping backend (tests,
-    /// backend benchmarks). Backends are bit-identical, so this changes
-    /// wall-clock only, never traces or features.
-    pub fn with_backend(mode: ExecMode, seed: u64, backend: &'static dyn MappingBackend) -> Self {
-        Executor { mode, weights: WeightGen::new(seed), backend, options: ExecOptions::default() }
+        Executor { mode, weights: WeightGen::new(seed), options: ExecOptions::default() }
     }
 
     /// Returns this executor with the given tuning knobs (builder style).
@@ -390,11 +368,11 @@ impl Executor {
         let (out_vc, km) = if stride > 1 {
             // U-Net encoder: remember the finer level for the decoder.
             ctx.skips.push((State::Vox(vc.clone()), ctx.feats.clone()));
-            let (ds, km) = KernelMap::downsample_with(self.backend, &vc, ks, stride as i32);
+            let (ds, km) = KernelMap::downsample(&vc, ks, stride as i32);
             mapping.push(MappingOp::Quantize { n_in: vc.len(), n_out: ds.len() });
             (ds, km)
         } else {
-            (vc.clone(), KernelMap::unit_stride_with(self.backend, &vc, ks))
+            (vc.clone(), KernelMap::unit_stride(&vc, ks))
         };
         mapping.push(MappingOp::KernelMap {
             n_in: km.n_in(),
@@ -447,7 +425,7 @@ impl Executor {
         };
         // Maps of the transposed conv = transpose of the forward
         // downsampling conv's maps (fine → coarse).
-        let km = KernelMap::transposed_with(self.backend, &fine, &coarse, ks);
+        let km = KernelMap::transposed(&fine, &coarse, ks);
         let mapping = vec![MappingOp::KernelMap {
             n_in: fine.len(),
             n_out: coarse.len(),
@@ -551,9 +529,9 @@ impl Executor {
         let (centroids, nbrs, mapping, k) = match spec {
             Some((n_out, radius, k)) => {
                 let n_out = n_out.min(pts.len());
-                let sel = self.backend.farthest_point_sampling(&pts, n_out);
+                let sel = index::farthest_point_sampling(&pts, n_out);
                 let centroids = pts.select(&sel);
-                let nbrs = self.backend.ball_query_padded(&pts, &centroids, radius * radius, k);
+                let nbrs = index::ball_query_padded(&pts, &centroids, radius * radius, k);
                 let mapping = vec![
                     MappingOp::Fps { n_in: pts.len(), n_out },
                     MappingOp::BallQuery { n_in: pts.len(), n_queries: n_out, k },
@@ -669,7 +647,7 @@ impl Executor {
             }
             State::Pts(coarse) => {
                 let k = 3.min(coarse.len());
-                let nbrs = self.backend.k_nearest_neighbors(coarse, &fine, k);
+                let nbrs = index::k_nearest_neighbors(coarse, &fine, k);
                 let maps = golden::neighbors_to_maps(&nbrs);
                 let mut f = FeatureMatrix::zeros(fine.len(), c);
                 if self.mode == ExecMode::Full {
@@ -741,8 +719,7 @@ impl Executor {
             feature_knn(&ctx.feats, k)
                 .map_err(|_| ExecError::NonFiniteFeature { layer: ctx.layer_idx, op: "EdgeConv" })?
         } else {
-            self.backend
-                .k_nearest_neighbors(&pts, &pts, k + 1)
+            index::k_nearest_neighbors(&pts, &pts, k + 1)
                 .into_iter()
                 .enumerate()
                 .map(|(i, mut v)| {
@@ -848,7 +825,7 @@ struct NonFiniteDistance;
 ///
 /// Feature space is high-dimensional, so the 3-D grid index does not
 /// apply; the scan ranks with the same total-order [`dist_key`] as the
-/// spatial backends, which makes the sort immune to non-finite values —
+/// spatial mapping ops, which makes the sort immune to non-finite values —
 /// a NaN distance (NaN or overflowed features) is detected up front and
 /// surfaced as an error instead of panicking mid-sort.
 fn feature_knn(feats: &FeatureMatrix, k: usize) -> Result<Vec<Vec<usize>>, NonFiniteDistance> {

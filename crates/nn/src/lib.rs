@@ -52,5 +52,5 @@ pub use exec::{ExecMode, ExecOptions, ExecOutput, Executor};
 pub use layer::{Domain, Op};
 pub use network::Network;
 pub use trace::{Aggregation, ComputeKind, LayerTrace, MappingOp, NetworkTrace, TraceKey};
-pub use verify::{verify_trace, verify_with_fingerprint, VerifyError, VerifyReport};
+pub use verify::{verify_trace, VerifyError, VerifyReport};
 pub use weights::WeightGen;

@@ -120,7 +120,7 @@ impl StreamingTracer {
         Self::over(Executor::new(mode, seed))
     }
 
-    /// Wraps an explicitly configured executor (backend, exec options).
+    /// Wraps an explicitly configured executor (exec options).
     pub fn over(exec: Executor) -> Self {
         StreamingTracer { exec, last: None, stats: StreamStats::default() }
     }

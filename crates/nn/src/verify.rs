@@ -29,10 +29,11 @@
 //!   fusability are the unique combination the executor emits for each
 //!   compute kind.
 //!
-//! [`verify_trace`] checks structure; [`verify_with_fingerprint`]
-//! additionally pins the content hash, which is what
-//! [`artifact::load`](crate::artifact::load) uses to refuse
-//! corrupt-but-checksum-valid files.
+//! [`verify_trace`] checks structure only and computes no hash.
+//! [`artifact::load`](crate::artifact::load) calls it after the codec has
+//! checked the file's checksum and stored fingerprint, so a corrupt file
+//! whose checksum and fingerprint were recomputed is still refused on
+//! its structure.
 
 use crate::trace::{Aggregation, ComputeKind, LayerTrace, MappingOp, NetworkTrace, TraceKey};
 use pointacc_geom::{MapTable, MapTableError};
@@ -47,17 +48,14 @@ pub struct VerifyReport {
     pub tables: usize,
     /// Total map entries bounds-checked.
     pub map_entries: u64,
-    /// Content fingerprint of the verified trace
-    /// ([`NetworkTrace::fingerprint`]).
-    pub fingerprint: u64,
 }
 
 impl fmt::Display for VerifyReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} layers, {} map tables, {} map entries, fingerprint {:016x}",
-            self.layers, self.tables, self.map_entries, self.fingerprint
+            "{} layers, {} map tables, {} map entries",
+            self.layers, self.tables, self.map_entries
         )
     }
 }
@@ -230,13 +228,6 @@ pub enum VerifyError {
         /// Output rows the decoder layer declares.
         n_out: usize,
     },
-    /// The trace's content hash differs from the expected fingerprint.
-    FingerprintMismatch {
-        /// Fingerprint the caller expected.
-        expected: u64,
-        /// Fingerprint the trace hashes to.
-        found: u64,
-    },
 }
 
 impl fmt::Display for VerifyError {
@@ -310,10 +301,6 @@ impl fmt::Display for VerifyError {
                 f,
                 "layer {layer}: skip connection carries {skip_rows} rows but the layer \
                  upsamples to {n_out}"
-            ),
-            VerifyError::FingerprintMismatch { expected, found } => write!(
-                f,
-                "trace fingerprint {found:016x} != expected {expected:016x}"
             ),
         }
     }
@@ -401,23 +388,6 @@ pub fn verify_trace(key: &TraceKey, trace: &NetworkTrace) -> Result<VerifyReport
     }
     // Unpopped skips are legal: classification networks abstract away
     // from their encoder levels without ever propagating back.
-    report.fingerprint = trace.fingerprint();
-    Ok(report)
-}
-
-/// [`verify_trace`] plus fingerprint agreement: the trace must hash to
-/// `expected`. This is the artifact-load entry point — a corrupted body
-/// whose checksum was recomputed still fails here unless the corruption
-/// also recomputed the fingerprint *and* kept the structure legal.
-pub fn verify_with_fingerprint(
-    key: &TraceKey,
-    trace: &NetworkTrace,
-    expected: u64,
-) -> Result<VerifyReport, VerifyError> {
-    let report = verify_trace(key, trace)?;
-    if report.fingerprint != expected {
-        return Err(VerifyError::FingerprintMismatch { expected, found: report.fingerprint });
-    }
     Ok(report)
 }
 
@@ -1017,7 +987,6 @@ mod tests {
             let report =
                 verify_trace(&key, &trace).unwrap_or_else(|e| panic!("{}: {e}", bench.notation));
             assert_eq!(report.layers, trace.layers.len());
-            assert_eq!(report.fingerprint, trace.fingerprint());
         }
     }
 
@@ -1049,16 +1018,6 @@ mod tests {
         let trace = NetworkTrace::default();
         let report = verify_trace(&key, &trace).expect("no layers, no violations");
         assert_eq!(report.layers, 0);
-        assert_eq!(report.fingerprint, trace.fingerprint());
-    }
-
-    #[test]
-    fn fingerprint_binding_rejects_mismatch() {
-        let (key, trace) = trace_of(&zoo::pointnet(), 64);
-        let fp = trace.fingerprint();
-        verify_with_fingerprint(&key, &trace, fp).expect("matching fingerprint");
-        let err = verify_with_fingerprint(&key, &trace, fp ^ 1).unwrap_err();
-        assert_eq!(err, VerifyError::FingerprintMismatch { expected: fp ^ 1, found: fp });
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! system through one dependency. The real functionality lives in:
 //!
 //! - [`pointacc`] — the accelerator model (MPU / MMU / MXU, compiler, perf).
-//! - [`pointacc_geom`] — point-cloud geometry and the mapping backends
-//!   (grid-hash `index::Indexed` production path, `golden` oracle).
+//! - [`pointacc_geom`] — point-cloud geometry and the mapping ops
+//!   (grid-hash `index` production path, `golden` oracle).
 //! - [`pointacc_data`] — synthetic dataset generators.
 //! - [`pointacc_nn`] — network definitions, reference executor, stats.
 //! - [`pointacc_sim`] — DRAM / SRAM / energy / systolic / sorter substrates.

@@ -8,9 +8,10 @@
 //! floating-point noise. An engine or compiler refactor that changes the
 //! reported results — intentionally or not — fails this test loudly;
 //! update the snapshot only when the change is understood and the new
-//! numbers are the ones future figures should report. The mapping
-//! backends are bit-identical by contract (`tests/mapping_backends.rs`),
-//! so backend swaps must *not* move these numbers.
+//! numbers are the ones future figures should report. The mapping ops
+//! of `pointacc_geom::index` are bit-identical to their golden oracles
+//! by contract (`tests/mapping_backends.rs`), so speeding them up must
+//! *not* move these numbers.
 
 use pointacc::{Accelerator, Engine, PointAccConfig};
 use pointacc_baselines::{Mesorasi, MesorasiSw, Platform};
@@ -56,7 +57,7 @@ const GOLDEN_ENERGY_RATIOS: [(&str, f64); 9] = [
 ];
 
 /// Geomean speedups at the larger scale 0.1 workload (feasible in a
-/// test since trace compilation moved to the indexed mapping backend).
+/// test because trace compilation runs the grid-hash `index` ops).
 const GOLDEN_GEOMEANS_SCALE_0_1: [(&str, f64); 9] = [
     ("RTX 2080Ti", 4.224138584427365),
     ("Xeon + TPUv3", 50.69234232515822),

@@ -1,12 +1,13 @@
-//! Property-based equivalence of the mapping backends: the grid-hash
-//! `Indexed` backend must produce **bit-identical** results to the
-//! brute-force `Golden` oracle on arbitrary point clouds, radii and
-//! tensor strides — including empty and degenerate inputs. This is the
-//! contract that lets the executor default to `Indexed` without
+//! Property-based equivalence of the two mapping implementations: every
+//! production op in `pointacc_geom::index` must produce **bit-identical**
+//! results to its brute-force twin in `pointacc_geom::golden` on
+//! arbitrary point clouds, radii and tensor strides — including empty,
+//! degenerate and adversarial inputs, and every FPS chunk count. This is
+//! the contract that lets the executor run the index ops without
 //! perturbing traces, golden snapshots, or functional outputs.
 
-use pointacc_geom::index::{fps_pruned, MappingBackend, GOLDEN, INDEXED};
-use pointacc_geom::{Coord, Point3, PointSet, VoxelCloud};
+use pointacc_geom::index::{self, GridIndex};
+use pointacc_geom::{golden, Coord, Point3, PointSet, VoxelCloud};
 use proptest::prelude::*;
 
 fn arb_points(min_n: usize, max_n: usize) -> impl Strategy<Value = PointSet> {
@@ -28,14 +29,25 @@ fn arb_cloud(max_n: usize) -> impl Strategy<Value = VoxelCloud> {
     )
 }
 
+/// Runs the pruned FPS kernel on one chunk (inline on the caller) and on
+/// up to three tile-aligned chunks, and checks both against the golden
+/// sweep.
+fn check_pruned_fps(pts: &PointSet, frac: f64) {
+    let m = ((pts.len() as f64 * frac) as usize).min(pts.len());
+    let want = golden::farthest_point_sampling(pts, m);
+    for chunks in [1, 3] {
+        assert_eq!(index::fps_pruned(pts, m, chunks), want, "chunks={chunks}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     #[test]
     fn knn_backends_agree(pts in arb_points(1, 120), q in arb_points(1, 30), k in 0usize..20) {
         prop_assert_eq!(
-            INDEXED.k_nearest_neighbors(&pts, &q, k),
-            GOLDEN.k_nearest_neighbors(&pts, &q, k)
+            index::k_nearest_neighbors(&pts, &q, k),
+            golden::k_nearest_neighbors(&pts, &q, k)
         );
     }
 
@@ -44,8 +56,8 @@ proptest! {
         // Queries == inputs (the DGCNN TraceOnly graph shape): every
         // distance has an exact zero tie broken by index.
         prop_assert_eq!(
-            INDEXED.k_nearest_neighbors(&pts, &pts, k),
-            GOLDEN.k_nearest_neighbors(&pts, &pts, k)
+            index::k_nearest_neighbors(&pts, &pts, k),
+            golden::k_nearest_neighbors(&pts, &pts, k)
         );
     }
 
@@ -56,13 +68,15 @@ proptest! {
         k in 1usize..16,
         r2 in 0.01f32..3000.0,
     ) {
+        // The unpadded grid ball, per query, and the padded op.
+        let grid = GridIndex::build(pts.points());
+        let want = golden::ball_query(&pts, &q, r2, k);
+        for (qi, &p) in q.points().iter().enumerate() {
+            prop_assert_eq!(grid.ball(p, r2, k), want[qi], "query {}", qi);
+        }
         prop_assert_eq!(
-            INDEXED.ball_query(&pts, &q, r2, k),
-            GOLDEN.ball_query(&pts, &q, r2, k)
-        );
-        prop_assert_eq!(
-            INDEXED.ball_query_padded(&pts, &q, r2, k),
-            GOLDEN.ball_query_padded(&pts, &q, r2, k)
+            index::ball_query_padded(&pts, &q, r2, k),
+            golden::ball_query_padded(&pts, &q, r2, k)
         );
     }
 
@@ -70,8 +84,8 @@ proptest! {
     fn fps_backends_agree(pts in arb_points(1, 150), frac in 0.0f64..1.0) {
         let m = ((pts.len() as f64 * frac) as usize).min(pts.len());
         prop_assert_eq!(
-            INDEXED.farthest_point_sampling(&pts, m),
-            GOLDEN.farthest_point_sampling(&pts, m)
+            index::farthest_point_sampling(&pts, m),
+            golden::farthest_point_sampling(&pts, m)
         );
     }
 
@@ -81,7 +95,7 @@ proptest! {
     // in-tile dmin spread), collinear points (degenerate AABBs),
     // duplicates (all-tie selection falls back to index order), and
     // non-finite coordinates (the bound must refuse to skip tiles whose
-    // dmin stays +inf).
+    // dmin stays +inf) — on one chunk and across chunk boundaries.
 
     #[test]
     fn pruned_fps_matches_golden_on_clustered_clouds(
@@ -97,8 +111,7 @@ proptest! {
                 Point3::new(c.x + dx, c.y + dy, c.z + dz)
             })
             .collect();
-        let m = ((pts.len() as f64 * frac) as usize).min(pts.len());
-        prop_assert_eq!(fps_pruned(&pts, m).0, GOLDEN.farthest_point_sampling(&pts, m));
+        check_pruned_fps(&pts, frac);
     }
 
     #[test]
@@ -121,8 +134,7 @@ proptest! {
                 }
             })
             .collect();
-        let m = ((pts.len() as f64 * frac) as usize).min(pts.len());
-        prop_assert_eq!(fps_pruned(&pts, m).0, GOLDEN.farthest_point_sampling(&pts, m));
+        check_pruned_fps(&pts, frac);
     }
 
     #[test]
@@ -134,8 +146,7 @@ proptest! {
         let pts: PointSet = (0..uniques.len() * reps)
             .map(|i| uniques.point(i % uniques.len()))
             .collect();
-        let m = ((pts.len() as f64 * frac) as usize).min(pts.len());
-        prop_assert_eq!(fps_pruned(&pts, m).0, GOLDEN.farthest_point_sampling(&pts, m));
+        check_pruned_fps(&pts, frac);
     }
 
     #[test]
@@ -155,15 +166,13 @@ proptest! {
                 _ => p.z = f32::INFINITY,
             }
         }
-        let pts = PointSet::from_points(v);
-        let m = ((pts.len() as f64 * frac) as usize).min(pts.len());
-        prop_assert_eq!(fps_pruned(&pts, m).0, GOLDEN.farthest_point_sampling(&pts, m));
+        check_pruned_fps(&PointSet::from_points(v), frac);
     }
 
     #[test]
     fn kernel_map_backends_agree(cloud in arb_cloud(150), ks in 2usize..4) {
-        let got = INDEXED.kernel_map(&cloud, &cloud, ks);
-        let want = GOLDEN.kernel_map(&cloud, &cloud, ks);
+        let got = index::kernel_map(&cloud, &cloud, ks);
+        let want = golden::kernel_map_hash(&cloud, &cloud, ks);
         // Not just as sets: identical grouping and within-group order.
         prop_assert_eq!(got.to_entries(), want.to_entries());
         prop_assert_eq!(got.counts(), want.counts());
@@ -172,8 +181,8 @@ proptest! {
     #[test]
     fn downsampled_kernel_map_backends_agree(cloud in arb_cloud(120), ks in 2usize..4) {
         let (coarse, _) = cloud.downsample(2);
-        let got = INDEXED.kernel_map(&cloud, &coarse, ks);
-        let want = GOLDEN.kernel_map(&cloud, &coarse, ks);
+        let got = index::kernel_map(&cloud, &coarse, ks);
+        let want = golden::kernel_map_hash(&cloud, &coarse, ks);
         prop_assert_eq!(got.to_entries(), want.to_entries());
     }
 
@@ -194,12 +203,12 @@ proptest! {
             })
             .collect();
         prop_assert_eq!(
-            INDEXED.k_nearest_neighbors(&pts, &pts, k),
-            GOLDEN.k_nearest_neighbors(&pts, &pts, k)
+            index::k_nearest_neighbors(&pts, &pts, k),
+            golden::k_nearest_neighbors(&pts, &pts, k)
         );
         prop_assert_eq!(
-            INDEXED.ball_query_padded(&pts, &pts, 0.01, k),
-            GOLDEN.ball_query_padded(&pts, &pts, 0.01, k)
+            index::ball_query_padded(&pts, &pts, 0.01, k),
+            golden::ball_query_padded(&pts, &pts, 0.01, k)
         );
     }
 }
@@ -208,44 +217,46 @@ proptest! {
 fn empty_and_degenerate_clouds_agree() {
     let empty = PointSet::new();
     let queries: PointSet = (0..4).map(|i| Point3::new(i as f32, 0.0, 0.0)).collect();
-    // Empty input: every query comes back empty from both backends.
+    // Empty input: every query comes back empty from both sides, padded
+    // or not (there is no nearest neighbor to pad with).
     assert_eq!(
-        INDEXED.k_nearest_neighbors(&empty, &queries, 3),
-        GOLDEN.k_nearest_neighbors(&empty, &queries, 3)
+        index::k_nearest_neighbors(&empty, &queries, 3),
+        golden::k_nearest_neighbors(&empty, &queries, 3)
     );
     assert_eq!(
-        INDEXED.ball_query(&empty, &queries, 1.0, 3),
-        GOLDEN.ball_query(&empty, &queries, 1.0, 3)
+        index::ball_query_padded(&empty, &queries, 1.0, 3),
+        golden::ball_query_padded(&empty, &queries, 1.0, 3)
     );
+    assert_eq!(index::ball_query_padded(&empty, &queries, 1.0, 3), vec![Vec::<usize>::new(); 4]);
     // Empty queries: empty result vectors.
-    assert!(INDEXED.k_nearest_neighbors(&queries, &empty, 3).is_empty());
+    assert!(index::k_nearest_neighbors(&queries, &empty, 3).is_empty());
     assert_eq!(
-        INDEXED.farthest_point_sampling(&empty, 0),
-        GOLDEN.farthest_point_sampling(&empty, 0)
+        index::farthest_point_sampling(&empty, 0),
+        golden::farthest_point_sampling(&empty, 0)
     );
     // Every point identical: all distances tie, index order decides.
     let same: PointSet = (0..30).map(|_| Point3::new(2.0, -1.0, 0.5)).collect();
     assert_eq!(
-        INDEXED.k_nearest_neighbors(&same, &same, 5),
-        GOLDEN.k_nearest_neighbors(&same, &same, 5)
+        index::k_nearest_neighbors(&same, &same, 5),
+        golden::k_nearest_neighbors(&same, &same, 5)
     );
     assert_eq!(
-        INDEXED.farthest_point_sampling(&same, 30),
-        GOLDEN.farthest_point_sampling(&same, 30)
+        index::farthest_point_sampling(&same, 30),
+        golden::farthest_point_sampling(&same, 30)
     );
     // Coplanar points: zero extent along one axis.
     let plane: PointSet =
         (0..60).map(|i| Point3::new((i % 10) as f32, (i / 10) as f32, 0.0)).collect();
     assert_eq!(
-        INDEXED.ball_query_padded(&plane, &plane, 2.0, 6),
-        GOLDEN.ball_query_padded(&plane, &plane, 2.0, 6)
+        index::ball_query_padded(&plane, &plane, 2.0, 6),
+        golden::ball_query_padded(&plane, &plane, 2.0, 6)
     );
     // Empty voxel clouds on either side of a kernel map.
     let vc = VoxelCloud::from_unsorted(vec![Coord::new(0, 0, 0), Coord::new(1, 1, 0)], 1);
     let none = VoxelCloud::from_unsorted(vec![], 1);
     for (a, b) in [(&vc, &none), (&none, &vc), (&none, &none)] {
-        let got = INDEXED.kernel_map(a, b, 3);
-        let want = GOLDEN.kernel_map(a, b, 3);
+        let got = index::kernel_map(a, b, 3);
+        let want = golden::kernel_map_hash(a, b, 3);
         assert_eq!(got.to_entries(), want.to_entries());
         assert_eq!(got.n_weights(), 27);
     }
@@ -254,8 +265,8 @@ fn empty_and_degenerate_clouds_agree() {
 #[test]
 fn large_inputs_cross_the_parallel_thresholds_and_agree() {
     // Sizes chosen to exceed QUERY_PAR_WORK / KERNEL_PAR_WORK / the FPS
-    // chunk-parallel gate, so this exercises the multi-threaded paths of
-    // the indexed backend against the serial oracle.
+    // chunk gate (n·m ≥ 2^21), so this exercises the multi-threaded
+    // paths of every index op against the serial oracle.
     let pts: PointSet = (0..6000)
         .map(|i| {
             let t = i as f32;
@@ -269,12 +280,17 @@ fn large_inputs_cross_the_parallel_thresholds_and_agree() {
         })
         .collect();
     assert_eq!(
-        INDEXED.k_nearest_neighbors(&pts, &queries, 16),
-        GOLDEN.k_nearest_neighbors(&pts, &queries, 16)
+        index::k_nearest_neighbors(&pts, &queries, 16),
+        golden::k_nearest_neighbors(&pts, &queries, 16)
     );
     assert_eq!(
-        INDEXED.ball_query_padded(&pts, &queries, 4.0, 32),
-        GOLDEN.ball_query_padded(&pts, &queries, 4.0, 32)
+        index::ball_query_padded(&pts, &queries, 4.0, 32),
+        golden::ball_query_padded(&pts, &queries, 4.0, 32)
+    );
+    // 6000 · 400 = 2.4M distance evaluations, above FPS_PAR_WORK.
+    assert_eq!(
+        index::farthest_point_sampling(&pts, 400),
+        golden::farthest_point_sampling(&pts, 400)
     );
 
     let mut x = 0xDEADBEEFu64;
@@ -288,7 +304,7 @@ fn large_inputs_cross_the_parallel_thresholds_and_agree() {
         (0..4000).map(|_| Coord::new(step(), step(), step())).collect(),
         1,
     );
-    let got = INDEXED.kernel_map(&cloud, &cloud, 3);
-    let want = GOLDEN.kernel_map(&cloud, &cloud, 3);
+    let got = index::kernel_map(&cloud, &cloud, 3);
+    let want = golden::kernel_map_hash(&cloud, &cloud, 3);
     assert_eq!(got.to_entries(), want.to_entries());
 }

@@ -76,3 +76,14 @@ proptest! {
         prop_assert_eq!(once, twice);
     }
 }
+
+#[test]
+fn padded_ball_query_on_empty_input_matches_golden() {
+    // No input point to group or pad with: every query gets an empty
+    // neighborhood instead of a panic.
+    let empty = PointSet::new();
+    let queries: PointSet = (0..3).map(|i| Point3::new(i as f32, 0.0, 0.0)).collect();
+    let (got, _) = Mpu::new(8).ball_query_padded(&empty, &queries, 1.0, 4);
+    assert_eq!(got, vec![Vec::<usize>::new(); 3]);
+    assert_eq!(got, golden::ball_query_padded(&empty, &queries, 1.0, 4));
+}

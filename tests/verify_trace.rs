@@ -85,7 +85,6 @@ fn minknet_trace_verifies_clean() {
     let report = verify_trace(key, trace).expect("freshly compiled trace");
     assert_eq!(report.layers, trace.layers.len());
     assert_eq!(report.map_entries, trace.total_maps());
-    assert_eq!(report.fingerprint, trace.fingerprint());
     assert!(report.tables >= 4, "MinkNet holds several kernel-map tables");
 }
 
