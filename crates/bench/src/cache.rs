@@ -303,10 +303,10 @@ impl TraceCache {
                     lock(&self.stats).disk_hits += 1;
                     return Ok(Arc::new(trace));
                 }
-                // The dangerous case: checksum and fingerprint checked
-                // out but the trace is semantically malformed. Count
-                // it, then recompile (the save below atomically
-                // replaces the rejected file).
+                // The dangerous case: the checksum checked out but the
+                // trace is semantically malformed. Count it, then
+                // recompile (the save below atomically replaces the
+                // rejected file).
                 Err(artifact::ArtifactError::Rejected(_)) => {
                     lock(&self.stats).verify_rejects += 1;
                 }
@@ -729,6 +729,36 @@ mod tests {
     }
 
     #[test]
+    fn version_1_artifact_is_recompiled_and_rewritten() {
+        let dir = temp_dir("v1-upgrade");
+        let _ = std::fs::remove_dir_all(&dir);
+        let key = TraceKey::new("net", 1, 0.5);
+        let path = dir.join(artifact::file_name(&key));
+        // A well-formed artifact under the retired version-1 header.
+        let mut old = artifact::encode(&key, &tiny_trace("net"));
+        old[8..12].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(&path, old).unwrap();
+
+        let cache = TraceCache::new().with_artifact_dir(&dir);
+        let trace = cache.get_or_build(&key, || tiny_trace("net"));
+        assert_eq!(
+            cache.stats(),
+            CacheStats { hits: 0, misses: 1, disk_hits: 0, compiles: 1, verify_rejects: 0 },
+            "an old-version artifact is a compile, not a disk hit or a verifier reject"
+        );
+        // The compile atomically rewrote the file at the current version,
+        // so a fresh cache now disk-hits.
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes[8..12], artifact::FORMAT_VERSION.to_le_bytes());
+        assert_eq!(bytes, artifact::encode(&key, &trace));
+        let fresh = TraceCache::new().with_artifact_dir(&dir);
+        fresh.get_or_build(&key, || panic!("must load from disk"));
+        assert_eq!(fresh.stats().disk_hits, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn evicted_entries_reload_from_the_artifact_tier() {
         let dir = temp_dir("evict-reload");
         let _ = std::fs::remove_dir_all(&dir);
@@ -850,8 +880,8 @@ mod tests {
         let dir = temp_dir("verify-reject");
         let _ = std::fs::remove_dir_all(&dir);
         let key = TraceKey::new("net", 1, 0.5);
-        // An honestly encoded artifact — checksum and fingerprint are
-        // self-consistent, so only the semantic verifier can refuse it.
+        // An honestly encoded artifact — its checksum is valid, so only
+        // the semantic verifier can refuse it.
         artifact::save(&dir, &key, &invalid_trace("net")).unwrap();
 
         let cache = TraceCache::new().with_artifact_dir(&dir);

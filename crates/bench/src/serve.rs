@@ -278,12 +278,11 @@ pub const MAX_FAILURE_SAMPLES: usize = 16;
 /// trace compilation through a run-private
 /// [`TraceCache`](crate::cache::TraceCache).
 ///
-/// This is the admit-everything configuration of the
-/// [`Frontend`](crate::frontend::Frontend): no request is ever shed
-/// ([`ServeReport::rejected`] is always 0) and requests without
-/// deadlines never expire. Invalid requests — an out-of-range benchmark
-/// index, or a benchmark whose trace cannot be built
-/// ([`crate::TraceBuildError`]) — are counted into
+/// This is the admit-everything configuration of the [`Frontend`]: no
+/// request is ever shed ([`ServeReport::rejected`] is always 0) and
+/// requests without deadlines never expire. Invalid requests — an
+/// out-of-range benchmark index, or a benchmark whose trace cannot be
+/// built ([`crate::TraceBuildError`]) — are counted into
 /// [`ServeReport::failed`] with the message sampled in
 /// [`ServeReport::failures`]; the worker keeps draining the queue.
 /// Unsupported (engine, benchmark) combinations are counted, not

@@ -1,9 +1,9 @@
 //! The unified execution surface every hardware model plugs into.
 //!
 //! The evaluation compares heterogeneous models — the PointAcc
-//! [`Accelerator`](crate::Accelerator), analytic CPU/GPU/TPU platform
-//! models, and the Mesorasi prior-work accelerator. Before this module
-//! each surfaced its own report type; [`Engine`] unifies them behind one
+//! [`Accelerator`], analytic CPU/GPU/TPU platform models, and the
+//! Mesorasi prior-work accelerator. Before this module each surfaced its
+//! own report type; [`Engine`] unifies them behind one
 //! `evaluate(trace) -> EngineReport` call so drivers (the parallel bench
 //! harness, smoke tests, examples) can treat every model uniformly and
 //! run (engine × benchmark × seed) grids concurrently.

@@ -12,7 +12,7 @@
 //!   orchestration over MIR-managed tiles; a configurable-block input
 //!   cache for Fetch-on-Demand sparse computation; temporal layer fusion
 //!   of dense FC chains.
-//! - [`mxu`] — the **Matrix Unit**: a weight-stationary systolic array
+//! - `mxu` — the **Matrix Unit**: a weight-stationary systolic array
 //!   parallelizing input × output channels (no scatter crossbar).
 //!
 //! [`Accelerator`] compiles a [`pointacc_nn::NetworkTrace`] (fusion

@@ -243,7 +243,7 @@ impl Frame {
 }
 
 /// A deterministic stream of overlapping LiDAR sweeps: one persistent
-/// [`Scene`] traversed with per-frame ego motion, re-raycasting only a
+/// `Scene` traversed with per-frame ego motion, re-raycasting only a
 /// bounded rotating window of azimuth columns each frame.
 ///
 /// Points are kept in the ego-registered world frame (as a

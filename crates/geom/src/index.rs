@@ -982,7 +982,7 @@ fn fps_tile_len(n: usize) -> usize {
 ///
 /// The running min-distance array lives in Morton slot order; tiles of
 /// ~√n consecutive slots cache their arg-max key (max dmin, ties to the
-/// lowest original index, packed by [`fps_key`]). Per iteration a tile
+/// lowest original index, packed by `fps_key`). Per iteration a tile
 /// whose AABB gap to the new point is ≥ its cached max dmin is skipped
 /// outright — the gap lower-bounds every new distance, so no update
 /// could fire and the cached key is still exact.

@@ -11,16 +11,15 @@
 //! directory with atomic write-rename so concurrent processes sharing
 //! the directory never observe a half-written file.
 //!
-//! # Wire format (version 1, little-endian)
+//! # Wire format (version 2, little-endian)
 //!
 //! ```text
 //! magic    [u8; 8]  b"PACCTRC1"
-//! version  u32      FORMAT_VERSION (readers reject unknown versions)
+//! version  u32      FORMAT_VERSION (readers reject every other version)
 //! checksum u64      FNV-1a over every byte after this field
 //! body:
-//!   key         str network, u64 seed, u64 scale_ppm
-//!   fingerprint u64 NetworkTrace::fingerprint() of the payload
-//!   trace       str network, str input_desc, u32 n_layers, layers…
+//!   key    str network, u64 seed, u64 scale_ppm
+//!   trace  str network, str input_desc, u32 n_layers, layers…
 //! layer:
 //!   str name, u8 compute, u64 n_in/n_out/in_ch/out_ch,
 //!   opt map-table, u32 n_mapping_ops + ops, u8 aggregation,
@@ -32,12 +31,20 @@
 //! opt T:   u8 0|1 + T
 //! ```
 //!
-//! Validation on load is layered: the checksum rejects any bit flip or
-//! truncation, the parser bounds-checks every length prefix before
-//! allocating, map tables rebuild through the validating
-//! [`MapTable::try_from_soa`], and the stored fingerprint must equal the
-//! fingerprint recomputed from the decoded trace — so a file that
-//! decodes at all is bit-exactly the trace that was saved.
+//! The trace section is the canonical encoding of a [`NetworkTrace`]:
+//! [`NetworkTrace::fingerprint`] is FNV-1a over exactly those bytes,
+//! streamed through the same encoder without building a buffer. Every
+//! field on the wire, names included, is therefore covered by the
+//! fingerprint, and no second field list exists to drift from it.
+//!
+//! Validation on load is layered: the checksum is the one integrity
+//! hash and rejects any bit flip or truncation, the parser
+//! bounds-checks every length prefix before allocating, map tables
+//! rebuild through the validating [`MapTable::try_from_soa`], and
+//! [`load`] runs the static verifier on the decoded trace. Version 1
+//! files (which also stored the fingerprint) are rejected as
+//! [`ArtifactError::UnsupportedVersion`]; the trace cache recompiles
+//! and rewrites them.
 
 use std::fmt;
 use std::fs;
@@ -47,13 +54,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use pointacc_geom::{MapTable, MapTableError};
 
-use crate::trace::{Aggregation, ComputeKind, Fnv, LayerTrace, MappingOp, NetworkTrace, TraceKey};
+use crate::trace::{Aggregation, ComputeKind, LayerTrace, MappingOp, NetworkTrace, TraceKey};
 
 /// Leading magic of every trace artifact.
 pub const MAGIC: [u8; 8] = *b"PACCTRC1";
 
 /// Format version written by [`encode`]; [`decode`] rejects all others.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
+
+/// Bytes before the body: magic, version and checksum.
+const HEADER_LEN: usize = MAGIC.len() + 4 + 8;
 
 /// Conventional file extension of saved artifacts.
 pub const EXTENSION: &str = "trace";
@@ -84,14 +94,6 @@ pub enum ArtifactError {
         /// Checksum computed over the received body.
         computed: u64,
     },
-    /// The decoded trace's recomputed fingerprint does not match the
-    /// stored one (format drift or a hash-colliding corruption).
-    FingerprintMismatch {
-        /// Fingerprint stored in the body.
-        stored: u64,
-        /// [`NetworkTrace::fingerprint`] of the decoded trace.
-        computed: u64,
-    },
     /// A field decoded to a structurally invalid value.
     Corrupt {
         /// Byte offset of the offending field.
@@ -114,8 +116,8 @@ pub enum ArtifactError {
         /// The key stored in the file.
         found: TraceKey,
     },
-    /// The artifact decoded cleanly — magic, version, checksum and
-    /// fingerprint all valid — but its trace failed static verification
+    /// The artifact decoded cleanly — magic, version and checksum all
+    /// valid — but its trace failed static verification
     /// ([`verify_trace`](crate::verify::verify_trace)): a corrupt file
     /// whose integrity metadata was recomputed, or a buggy producer.
     /// Refused at load, never executed.
@@ -139,10 +141,6 @@ impl fmt::Display for ArtifactError {
             ArtifactError::ChecksumMismatch { stored, computed } => write!(
                 f,
                 "artifact checksum mismatch (stored {stored:#018x}, computed {computed:#018x})"
-            ),
-            ArtifactError::FingerprintMismatch { stored, computed } => write!(
-                f,
-                "trace fingerprint mismatch (stored {stored:#018x}, computed {computed:#018x})"
             ),
             ArtifactError::Corrupt { offset, what } => {
                 write!(f, "corrupt artifact at byte {offset}: {what}")
@@ -173,34 +171,62 @@ impl From<std::io::Error> for ArtifactError {
 // Encoding
 // ---------------------------------------------------------------------
 
-struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    fn new() -> Self {
-        Enc { buf: Vec::new() }
-    }
+/// Where the encoder writes: a byte buffer for [`encode`], or [`Fnv`]
+/// for [`NetworkTrace::fingerprint`], which hashes the same bytes
+/// without materializing them.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
 
     fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.put(&[v]);
     }
 
     fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     fn str_(&mut self, s: &str) {
         self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
+        self.put(s.as_bytes());
     }
 }
 
-fn encode_map_table(e: &mut Enc, table: &MapTable) {
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// Incremental 64-bit FNV-1a: the artifact checksum, the file-name hash
+/// and, fed by the encoder, the trace fingerprint.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xCBF2_9CE4_8422_2325)
+    }
+
+    fn of(bytes: &[u8]) -> u64 {
+        let mut h = Fnv::new();
+        h.put(bytes);
+        h.0
+    }
+}
+
+impl Sink for Fnv {
+    fn put(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+}
+
+fn encode_map_table(e: &mut impl Sink, table: &MapTable) {
     e.u32(table.n_weights() as u32);
     for &off in table.offsets() {
         e.u64(off as u64);
@@ -213,7 +239,7 @@ fn encode_map_table(e: &mut Enc, table: &MapTable) {
     }
 }
 
-fn encode_layer(e: &mut Enc, layer: &LayerTrace) {
+fn encode_layer(e: &mut impl Sink, layer: &LayerTrace) {
     e.str_(&layer.name);
     e.u8(layer.compute.tag());
     e.u64(layer.n_in as u64);
@@ -245,31 +271,39 @@ fn encode_layer(e: &mut Enc, layer: &LayerTrace) {
     e.u8(u8::from(layer.fusable));
 }
 
+/// The trace section: the canonical encoding of a trace.
+fn encode_trace(e: &mut impl Sink, trace: &NetworkTrace) {
+    e.str_(&trace.network);
+    e.str_(&trace.input_desc);
+    e.u32(trace.layers.len() as u32);
+    for layer in &trace.layers {
+        encode_layer(e, layer);
+    }
+}
+
+/// FNV-1a over the trace section [`encode`] writes, streamed without a
+/// buffer; see [`NetworkTrace::fingerprint`].
+pub(crate) fn fingerprint(trace: &NetworkTrace) -> u64 {
+    let mut h = Fnv::new();
+    encode_trace(&mut h, trace);
+    h.0
+}
+
 /// Serializes `trace` under `key` into a self-validating byte stream
 /// (see the module docs for the wire format). Deterministic: the same
 /// `(key, trace)` pair always yields the same bytes, so artifact files
 /// are bit-stable across processes and machines.
 pub fn encode(key: &TraceKey, trace: &NetworkTrace) -> Vec<u8> {
-    let mut body = Enc::new();
-    body.str_(&key.network);
-    body.u64(key.seed);
-    body.u64(key.scale_ppm);
-    body.u64(trace.fingerprint());
-    body.str_(&trace.network);
-    body.str_(&trace.input_desc);
-    body.u32(trace.layers.len() as u32);
-    for layer in &trace.layers {
-        encode_layer(&mut body, layer);
-    }
-
-    let mut checksum = Fnv::new();
-    checksum.mix_bytes(&body.buf);
-
-    let mut out = Vec::with_capacity(MAGIC.len() + 12 + body.buf.len());
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&checksum.finish().to_le_bytes());
-    out.extend_from_slice(&body.buf);
+    let mut out = Vec::new();
+    out.put(&MAGIC);
+    out.u32(FORMAT_VERSION);
+    out.u64(0); // checksum, filled in once the body is written
+    out.str_(&key.network);
+    out.u64(key.seed);
+    out.u64(key.scale_ppm);
+    encode_trace(&mut out, trace);
+    let checksum = Fnv::of(&out[HEADER_LEN..]);
+    out[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
     out
 }
 
@@ -457,11 +491,23 @@ fn decode_layer(d: &mut Dec<'_>) -> Result<LayerTrace, ArtifactError> {
     })
 }
 
+fn decode_trace(d: &mut Dec<'_>) -> Result<NetworkTrace, ArtifactError> {
+    let network = d.str_()?;
+    let input_desc = d.str_()?;
+    let n_layers = d.u32()? as usize;
+    d.check_count(n_layers, 2)?;
+    let mut layers = Vec::with_capacity(n_layers);
+    for _ in 0..n_layers {
+        layers.push(decode_layer(d)?);
+    }
+    Ok(NetworkTrace { network, input_desc, layers })
+}
+
 /// Deserializes a byte stream produced by [`encode`], validating magic,
-/// version, checksum, structure and fingerprint. Unknown versions and
-/// truncated, bit-flipped or otherwise corrupt streams are rejected
-/// with a typed [`ArtifactError`]; no input can cause a panic or an
-/// allocation beyond the stream's own length.
+/// version, checksum and structure. Unknown versions and truncated,
+/// bit-flipped or otherwise corrupt streams are rejected with a typed
+/// [`ArtifactError`]; no input can cause a panic or an allocation
+/// beyond the stream's own length.
 pub fn decode(bytes: &[u8]) -> Result<(TraceKey, NetworkTrace), ArtifactError> {
     let mut header = Dec::new(bytes);
     if header.take(MAGIC.len())? != MAGIC {
@@ -471,39 +517,18 @@ pub fn decode(bytes: &[u8]) -> Result<(TraceKey, NetworkTrace), ArtifactError> {
     if version != FORMAT_VERSION {
         return Err(ArtifactError::UnsupportedVersion(version));
     }
-    let stored_checksum = header.u64()?;
+    let stored = header.u64()?;
     let body = &bytes[header.pos..];
-    let mut checksum = Fnv::new();
-    checksum.mix_bytes(body);
-    let computed = checksum.finish();
-    if computed != stored_checksum {
-        return Err(ArtifactError::ChecksumMismatch { stored: stored_checksum, computed });
+    let computed = Fnv::of(body);
+    if computed != stored {
+        return Err(ArtifactError::ChecksumMismatch { stored, computed });
     }
 
     let mut d = Dec::new(body);
-    let network = d.str_()?;
-    let seed = d.u64()?;
-    let scale_ppm = d.u64()?;
-    let key = TraceKey { network, seed, scale_ppm };
-    let stored_fingerprint = d.u64()?;
-    let trace_network = d.str_()?;
-    let input_desc = d.str_()?;
-    let n_layers = d.u32()? as usize;
-    d.check_count(n_layers, 2)?;
-    let mut layers = Vec::with_capacity(n_layers);
-    for _ in 0..n_layers {
-        layers.push(decode_layer(&mut d)?);
-    }
+    let key = TraceKey { network: d.str_()?, seed: d.u64()?, scale_ppm: d.u64()? };
+    let trace = decode_trace(&mut d)?;
     if d.pos != body.len() {
         return Err(ArtifactError::TrailingBytes { consumed: d.pos, len: body.len() });
-    }
-    let trace = NetworkTrace { network: trace_network, input_desc, layers };
-    let computed_fp = trace.fingerprint();
-    if computed_fp != stored_fingerprint {
-        return Err(ArtifactError::FingerprintMismatch {
-            stored: stored_fingerprint,
-            computed: computed_fp,
-        });
     }
     Ok((key, trace))
 }
@@ -524,9 +549,8 @@ pub fn file_name(key: &TraceKey) -> String {
         .chars()
         .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '.' { c } else { '_' })
         .collect();
-    let mut h = Fnv::new();
-    h.mix_bytes(key.network.as_bytes());
-    format!("{sanitized}-{:08x}-s{}-p{}.{EXTENSION}", h.finish() as u32, key.seed, key.scale_ppm)
+    let hash = Fnv::of(key.network.as_bytes()) as u32;
+    format!("{sanitized}-{hash:08x}-s{}-p{}.{EXTENSION}", key.seed, key.scale_ppm)
 }
 
 /// Monotone counter making concurrent temp-file names unique within
@@ -567,12 +591,12 @@ pub fn save(dir: &Path, key: &TraceKey, trace: &NetworkTrace) -> Result<PathBuf,
 /// holding a different key — is an `Err`, letting callers distinguish
 /// "compile it" from "the artifact store is damaged".
 ///
-/// Beyond the codec's integrity checks (checksum, fingerprint), the
-/// decoded trace must pass the full static verifier
+/// Beyond the codec's integrity check (the checksum), the decoded trace
+/// must pass the full static verifier
 /// ([`verify_trace`](crate::verify::verify_trace)): a corruption that
-/// recomputed the checksum and fingerprint — or a buggy writer — is
-/// still refused as [`ArtifactError::Rejected`] instead of being handed
-/// to an executor that would index feature rows with it.
+/// recomputed the checksum — or a buggy writer — is still refused as
+/// [`ArtifactError::Rejected`] instead of being handed to an executor
+/// that would index feature rows with it.
 pub fn load(dir: &Path, key: &TraceKey) -> Result<Option<NetworkTrace>, ArtifactError> {
     let path = dir.join(file_name(key));
     let bytes = match fs::read(&path) {
@@ -679,8 +703,23 @@ mod tests {
     #[test]
     fn unknown_versions_are_rejected_with_the_version() {
         let mut bytes = encode(&sample_key(), &sample_trace());
-        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
-        assert_eq!(decode(&bytes), Err(ArtifactError::UnsupportedVersion(2)));
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(decode(&bytes), Err(ArtifactError::UnsupportedVersion(1)));
+    }
+
+    #[test]
+    fn fingerprint_is_the_hash_of_the_encoded_trace_section() {
+        assert_eq!(Fnv::of(b"a"), 0xAF63_DC4C_8601_EC8C, "FNV-1a reference vector");
+        let key = sample_key();
+        let mut renamed = sample_trace();
+        renamed.network = "other".into();
+        renamed.layers[0].name = "other.conv".into();
+        for trace in [sample_trace(), renamed] {
+            let bytes = encode(&key, &trace);
+            let key_len = 4 + key.network.len() + 8 + 8;
+            let section = &bytes[HEADER_LEN + key_len..];
+            assert_eq!(trace.fingerprint(), Fnv::of(section), "{}", trace.network);
+        }
     }
 
     #[test]
@@ -738,17 +777,17 @@ mod tests {
             .join("verify-reject");
         let (key, mut trace) = (sample_key(), sample_trace());
         // Flip a map's input index out of bounds, then write the trace
-        // through the honest encoder — which recomputes the checksum
-        // *and* the fingerprint over the corrupted table, so the codec's
-        // integrity checks all pass. Only the static verifier stands
-        // between this file and a gather that indexes row 99 of 2.
+        // through the honest encoder — which computes the checksum over
+        // the corrupted table, so the codec's integrity check passes.
+        // Only the static verifier stands between this file and a
+        // gather that indexes row 99 of 2.
         let m = trace.layers[0].maps.as_mut().unwrap();
         let mut inputs = m.inputs().to_vec();
         inputs[0] = 99;
         *m = MapTable::try_from_soa(inputs, m.outputs().to_vec(), m.offsets().to_vec()).unwrap();
         save(&dir, &key, &trace).unwrap();
-        // decode alone accepts the bytes (checksum and fingerprint are
-        // self-consistent) — the rejection is the verifier's.
+        // decode alone accepts the bytes (the checksum is valid) — the
+        // rejection is the verifier's.
         let bytes = fs::read(dir.join(file_name(&key))).unwrap();
         assert!(decode(&bytes).is_ok());
         match load(&dir, &key) {

@@ -5,16 +5,16 @@
 //! mapping-op compilation — the dominant trace cost — recomputes from
 //! scratch per request. [`StreamingTracer`] wraps an [`Executor`] with
 //! one fast path checked per frame: **exact reuse**. When the frame's
-//! points are bit-identical to the previous frame's (hash-gated, then
-//! verified by full comparison, so a hash collision can never serve a
-//! wrong trace), the cached output is returned as-is — every executor
-//! product is a pure function of `(network, seed, points)`.
+//! points are bit-identical to the previous frame's (every coordinate's
+//! bit pattern compared, stopping at the first difference), the cached
+//! output is returned as-is — every executor product is a pure function
+//! of `(network, seed, points)`.
 //!
 //! Anything else compiles normally and replaces the cached frame.
 //! Reuse is reported through [`StreamStats`], mirroring the
 //! `CacheStats::accounting` style the warm-start CI check greps.
 
-use pointacc_geom::PointSet;
+use pointacc_geom::{Point3, PointSet};
 
 use crate::{ExecError, ExecMode, ExecOutput, Executor, Network};
 
@@ -60,27 +60,16 @@ impl StreamStats {
     }
 }
 
-/// FNV-1a over the point coordinates' bit patterns: a cheap gate before
-/// the exact comparison (never trusted on its own).
-fn point_hash(points: &PointSet) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |v: u32| {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    for p in points.points() {
-        eat(p.x.to_bits());
-        eat(p.y.to_bits());
-        eat(p.z.to_bits());
-    }
-    h
+/// Whether two clouds hold bit-identical coordinates, stopping at the
+/// first difference. Bit patterns, not float `==`: `-0.0 == 0.0`, yet
+/// the two are different inputs.
+fn same_bits(a: &PointSet, b: &PointSet) -> bool {
+    let bits = |p: &Point3| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()];
+    a.len() == b.len() && a.points().iter().zip(b.points()).all(|(p, q)| bits(p) == bits(q))
 }
 
 struct CachedFrame {
     network: String,
-    point_hash: u64,
     points: PointSet,
     output: ExecOutput,
 }
@@ -134,12 +123,8 @@ impl StreamingTracer {
         net: &Network,
         points: &PointSet,
     ) -> Result<(ExecOutput, ReuseOutcome), ExecError> {
-        let hash = point_hash(points);
         if let Some(last) = &self.last {
-            if last.network == net.name()
-                && last.point_hash == hash
-                && last.points.points() == points.points()
-            {
+            if last.network == net.name() && same_bits(&last.points, points) {
                 self.stats.record(ReuseOutcome::ExactReuse);
                 return Ok((last.output.clone(), ReuseOutcome::ExactReuse));
             }
@@ -147,7 +132,6 @@ impl StreamingTracer {
         let output = self.exec.try_run(net, points)?;
         self.last = Some(CachedFrame {
             network: net.name().to_string(),
-            point_hash: hash,
             points: points.clone(),
             output: output.clone(),
         });
@@ -170,7 +154,6 @@ impl StreamingTracer {
 mod tests {
     use super::*;
     use crate::zoo;
-    use pointacc_geom::Point3;
 
     fn cloud(n: usize, seed: u64) -> PointSet {
         let mut x = seed | 1;
@@ -216,6 +199,15 @@ mod tests {
             pts.points().iter().map(|p| Point3::new(p.x + 1e-6, p.y, p.z)).collect();
         let (_, outcome) = tracer.run_frame(&net, &nudged).unwrap();
         assert_eq!(outcome, ReuseOutcome::Compiled, "a nudged cloud is not an exact match");
+        // A signed zero: `-0.0 == 0.0` as floats, but not bit for bit.
+        let with_x0 = |x: f32| -> PointSet {
+            let mut points = pts.points().to_vec();
+            points[0].x = x;
+            points.into_iter().collect()
+        };
+        tracer.run_frame(&net, &with_x0(0.0)).unwrap();
+        let (_, outcome) = tracer.run_frame(&net, &with_x0(-0.0)).unwrap();
+        assert_eq!(outcome, ReuseOutcome::Compiled, "-0.0 is not bit-identical to 0.0");
     }
 
     #[test]

@@ -101,8 +101,8 @@ impl MappingOp {
         }
     }
 
-    /// The operation's size fields in declaration order (the payload the
-    /// wire codec and the fingerprint both consume).
+    /// The operation's size fields in declaration order (the payload of
+    /// its wire encoding, which the fingerprint hashes).
     pub(crate) fn fields(&self) -> Vec<u64> {
         match *self {
             MappingOp::Quantize { n_in, n_out } => vec![n_in as u64, n_out as u64],
@@ -318,35 +318,6 @@ impl TraceKey {
     }
 }
 
-/// Incremental FNV-1a over little-endian words — the trace fingerprint
-/// and the artifact checksum share this primitive so a fingerprint can
-/// be recomputed from decoded bytes without a second hash definition.
-pub(crate) struct Fnv(u64);
-
-impl Fnv {
-    const OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-
-    pub(crate) fn new() -> Self {
-        Fnv(Self::OFFSET)
-    }
-
-    pub(crate) fn mix_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    pub(crate) fn mix(&mut self, v: u64) {
-        self.mix_bytes(&v.to_le_bytes());
-    }
-
-    pub(crate) fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// Trace of a full network execution.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct NetworkTrace {
@@ -394,49 +365,16 @@ impl NetworkTrace {
         self.layers.first().map_or(0, |l| l.n_in)
     }
 
-    /// Content fingerprint: FNV-1a over per-layer shapes, compute and
-    /// aggregation metadata (compute kind, aggregation, pool grouping,
-    /// fusability), every mapping-op descriptor, and the **full map
-    /// tables** (group offsets plus every input/output index pair). Two
-    /// traces agree iff they are structurally identical up to layer and
-    /// network names — which makes the fingerprint a sound validity
-    /// check for persisted trace artifacts, where shape-only hashing
-    /// would let two same-shaped traces with different kernel maps
-    /// impersonate each other.
+    /// Content fingerprint: FNV-1a over the trace's canonical encoding,
+    /// the trace section of an [`artifact`](crate::artifact), streamed
+    /// into the hash without building a buffer. It covers every field
+    /// the wire format carries: names, shapes, compute and aggregation
+    /// metadata, every mapping-op descriptor and the **full map tables**.
+    /// Two traces agree iff they encode to the same bytes (up to FNV-1a
+    /// collisions); unlike a shape-only hash, it tells apart same-shaped
+    /// traces with different kernel maps.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.mix(self.layers.len() as u64);
-        for l in &self.layers {
-            h.mix(l.n_in as u64);
-            h.mix(l.n_out as u64);
-            h.mix(l.in_ch as u64);
-            h.mix(l.out_ch as u64);
-            h.mix(u64::from(l.compute.tag()));
-            h.mix(u64::from(l.aggregation.tag()));
-            h.mix(l.pool_group.map_or(u64::MAX, |g| g as u64));
-            h.mix(u64::from(l.fusable));
-            h.mix(l.mapping.len() as u64);
-            for op in &l.mapping {
-                h.mix(u64::from(op.tag()));
-                for field in op.fields() {
-                    h.mix(field);
-                }
-            }
-            match &l.maps {
-                None => h.mix(u64::MAX),
-                Some(m) => {
-                    h.mix(m.n_weights() as u64);
-                    h.mix(m.len() as u64);
-                    for &off in m.offsets() {
-                        h.mix(off as u64);
-                    }
-                    for (&input, &output) in m.inputs().iter().zip(m.outputs()) {
-                        h.mix(u64::from(input) << 32 | u64::from(output));
-                    }
-                }
-            }
-        }
-        h.finish()
+        crate::artifact::fingerprint(self)
     }
 }
 
@@ -560,12 +498,12 @@ mod tests {
         let mut fused = base.clone();
         fused.layers[0].fusable = true;
         assert_ne!(base.fingerprint(), fused.fingerprint());
-        // Names stay outside the fingerprint: it is structural identity,
-        // and the artifact key carries the network name separately.
+        // Names are covered too: the fingerprint hashes the canonical
+        // encoding, which carries them.
         let mut renamed = base.clone();
         renamed.network = "other".into();
         renamed.layers[0].name = "other.conv".into();
-        assert_eq!(base.fingerprint(), renamed.fingerprint());
+        assert_ne!(base.fingerprint(), renamed.fingerprint());
     }
 
     #[test]

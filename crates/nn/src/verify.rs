@@ -1,6 +1,6 @@
 //! Static semantic verification of compiled traces.
 //!
-//! A [`NetworkTrace`](crate::NetworkTrace) is trusted by every consumer
+//! A [`NetworkTrace`] is trusted by every consumer
 //! in the workspace: timing models index its map tables straight into
 //! feature rows, the serve stack replays it for millions of simulated
 //! requests, and the artifact codec persists it across processes. The
@@ -31,9 +31,8 @@
 //!
 //! [`verify_trace`] checks structure only and computes no hash.
 //! [`artifact::load`](crate::artifact::load) calls it after the codec has
-//! checked the file's checksum and stored fingerprint, so a corrupt file
-//! whose checksum and fingerprint were recomputed is still refused on
-//! its structure.
+//! checked the file's checksum, so a corrupt file whose checksum was
+//! recomputed is still refused on its structure.
 
 use crate::trace::{Aggregation, ComputeKind, LayerTrace, MappingOp, NetworkTrace, TraceKey};
 use pointacc_geom::{MapTable, MapTableError};
@@ -347,10 +346,11 @@ struct Flow {
 /// models will replay them.
 ///
 /// The `key` is the cache/artifact identity the trace is served under.
-/// Binding trace to key (network name, checksum, fingerprint) is the
-/// artifact layer's job — network names are deliberately outside the
-/// structural identity — so the key does not influence the structural
-/// checks.
+/// Binding trace to key is the artifact layer's job ([`artifact::load`]
+/// checks the key stored in the file and the checksum over its bytes),
+/// so the key does not influence the structural checks.
+///
+/// [`artifact::load`]: crate::artifact::load
 pub fn verify_trace(key: &TraceKey, trace: &NetworkTrace) -> Result<VerifyReport, VerifyError> {
     let _ = key;
     let mut report = VerifyReport { layers: trace.layers.len(), ..VerifyReport::default() };

@@ -324,9 +324,9 @@ fn dropped_map_table_is_rejected() {
 }
 
 /// The acceptance criterion at the artifact boundary: a structurally
-/// corrupt trace written through the *honest* encoder (checksum and
-/// fingerprint both freshly computed over the corrupt body) must be
-/// rejected by the verifier at load — not executed.
+/// corrupt trace written through the *honest* encoder (checksum freshly
+/// computed over the corrupt body) must be rejected by the verifier at
+/// load — not executed.
 #[test]
 fn corrupt_but_checksum_valid_artifact_is_rejected_at_load() {
     let (key, trace) = minknet();
