@@ -100,7 +100,7 @@ fn bench_cache(c: &mut Criterion) {
     for bp in [8usize, 64] {
         let cfg = CacheConfig { capacity_bytes: 256 * 1024, block_points: bp, row_bytes: 128 };
         g.bench_with_input(BenchmarkId::from_parameter(bp), &bp, |b, _| {
-            b.iter(|| simulate_sparse_accesses(cfg, &maps, plan, None));
+            b.iter(|| simulate_sparse_accesses(&[cfg], &maps, plan));
         });
     }
     g.finish();

@@ -31,7 +31,7 @@ fn main() {
                     block_points: bp,
                     row_bytes: c.min(64) * 2,
                 };
-                let s = simulate_sparse_accesses(cfg, &maps, plan, None);
+                let (_, s) = simulate_sparse_accesses(&[cfg], &maps, plan).expect("one geometry");
                 row.push(format!("{:.1}%", s.miss_rate() * 100.0));
             }
             rows.push(row);

@@ -174,7 +174,6 @@ impl SlotMap {
 pub struct TraceCache {
     slots: Mutex<SlotMap>,
     stats: Mutex<CacheStats>,
-    compiles: Mutex<HashMap<TraceKey, u64>>,
     capacity: Option<usize>,
     artifact_dir: Option<PathBuf>,
     failure_policy: FailurePolicy,
@@ -330,7 +329,6 @@ impl TraceCache {
             }
         });
         lock(&self.stats).compiles += 1;
-        *lock(&self.compiles).entry(key.clone()).or_insert(0) += 1;
         if let (Some(dir), Ok(trace)) = (&self.artifact_dir, &result) {
             // Persistence is best-effort: a full disk must not fail a
             // lookup that already holds a perfectly good trace.
@@ -344,21 +342,11 @@ impl TraceCache {
         *lock(&self.stats)
     }
 
-    /// Zeroes the counters and per-key compile counts. Figure binaries
-    /// sweeping seeds or scales call this at sweep boundaries so each
-    /// epoch's reported hit rate reflects that epoch alone instead of
-    /// mixing history.
+    /// Zeroes the counters. Figure binaries sweeping seeds or scales
+    /// call this at sweep boundaries so each epoch's reported hit rate
+    /// reflects that epoch alone instead of mixing history.
     pub fn reset_stats(&self) {
         *lock(&self.stats) = CacheStats::default();
-        lock(&self.compiles).clear();
-    }
-
-    /// How many times `key`'s build ran since the last
-    /// [`TraceCache::reset_stats`], successful or failed (≤ 1 unless
-    /// the key was cleared, evicted, invalidated, or retried under
-    /// [`FailurePolicy::RetryOnRequest`]).
-    pub fn compile_count(&self, key: &TraceKey) -> u64 {
-        lock(&self.compiles).get(key).copied().unwrap_or(0)
     }
 
     /// Drops the cached outcome of one `key` (success or failure); the
@@ -372,10 +360,10 @@ impl TraceCache {
 
     /// Evicts every cached trace, releasing the memory (traces still
     /// borrowed by live grids stay alive through their `Arc`s until
-    /// those drop). Counters and per-key compile counts are kept:
-    /// `clear` trades memory for recompilation, it does not rewrite
-    /// history — after a clear, a re-requested key compiles again and
-    /// its [`TraceCache::compile_count`] exceeds 1. Pair with
+    /// those drop). Counters are kept: `clear` trades memory for
+    /// recompilation, it does not rewrite history — after a clear, a
+    /// re-requested key compiles again and counts in
+    /// [`CacheStats::compiles`] a second time. Pair with
     /// [`TraceCache::reset_stats`] to also start a fresh accounting
     /// epoch.
     pub fn clear(&self) {
@@ -459,7 +447,6 @@ mod tests {
         });
         assert!(Arc::ptr_eq(&a, &b), "hit must share the compiled trace");
         assert_eq!(builds.load(Ordering::SeqCst), 1);
-        assert_eq!(cache.compile_count(&key), 1);
         assert_eq!(
             cache.stats(),
             CacheStats { hits: 1, misses: 1, disk_hits: 0, compiles: 1, verify_rejects: 0 }
@@ -500,7 +487,6 @@ mod tests {
             }
         });
         assert_eq!(builds.load(Ordering::SeqCst), 1, "exactly one compile under contention");
-        assert_eq!(cache.compile_count(&key), 1);
         let stats = cache.stats();
         assert_eq!(stats.hits + stats.misses, 8);
         assert_eq!(stats.misses, 1);
@@ -516,10 +502,9 @@ mod tests {
         assert!(cache.is_empty());
         // The evicted trace stays alive through its Arc.
         assert_eq!(first.network, "net");
-        // A re-request compiles again — visible in the compile count.
+        // A re-request compiles again — visible in the counters.
         let second = cache.get_or_build(&key, || tiny_trace("net"));
         assert!(!Arc::ptr_eq(&first, &second));
-        assert_eq!(cache.compile_count(&key), 2);
         assert_eq!(
             cache.stats(),
             CacheStats { hits: 0, misses: 2, disk_hits: 0, compiles: 2, verify_rejects: 0 }
@@ -535,7 +520,6 @@ mod tests {
         assert_eq!(cache.stats().hits, 1);
         cache.reset_stats();
         assert_eq!(cache.stats(), CacheStats::default());
-        assert_eq!(cache.compile_count(&key), 0);
         // The cached trace itself survives: the next lookup is a pure
         // hit in the new epoch.
         cache.get_or_build(&key, || tiny_trace("net"));
@@ -559,7 +543,6 @@ mod tests {
         let second = cache.try_get_or_build(&key, build).unwrap_err();
         assert_eq!(first, second, "both lookups return the cached error");
         assert_eq!(builds.load(Ordering::SeqCst), 1, "failed build runs once under Retain");
-        assert_eq!(cache.compile_count(&key), 1);
         // A different key still compiles normally.
         let ok = cache.try_get_or_build(&TraceKey::new("fine", 1, 0.5), || Ok(tiny_trace("fine")));
         assert_eq!(ok.unwrap().network, "fine");
@@ -637,7 +620,7 @@ mod tests {
             tiny_trace("2")
         });
         assert_eq!(builds.load(Ordering::SeqCst), 1, "k2 was evicted and recompiled");
-        assert_eq!(cache.compile_count(&k2), 2);
+        assert_eq!(cache.stats().compiles, 4, "k1, k2, k3, then k2 again");
     }
 
     #[test]
@@ -700,7 +683,6 @@ mod tests {
             warm.stats(),
             CacheStats { hits: 0, misses: 1, disk_hits: 1, compiles: 0, verify_rejects: 0 }
         );
-        assert_eq!(warm.compile_count(&key), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -828,7 +810,6 @@ mod tests {
         let cache = TraceCache::new();
         assert!(cache.is_empty());
         assert_eq!(cache.stats().hit_rate(), 0.0);
-        assert_eq!(cache.compile_count(&TraceKey::new("none", 0, 1.0)), 0);
         assert_eq!(
             cache.stats().accounting(),
             "hits=0 misses=0 disk_hits=0 compiles=0 verify_rejects=0"

@@ -7,7 +7,7 @@ use pointacc_sim::{Cycles, DramChannel, EnergyTable, PicoJoules, SramSpec};
 
 use crate::mmu::{
     dense_layer_traffic, fused_activation_bytes, plan_fusion, sparse_layer_traffic, CacheConfig,
-    Flow, FusionPlan, SparseAccessPlan,
+    CacheStats, Flow, FusionPlan, SparseAccessPlan,
 };
 use crate::mpu::Mpu;
 use crate::mxu::Mxu;
@@ -21,8 +21,9 @@ pub enum CachePolicy {
     Off,
     /// Fixed block size in points.
     Fixed(usize),
-    /// Per-layer block-size search on a sampled access stream (the
-    /// compiler's behaviour, paper §4.2.3).
+    /// The compiler's behaviour (paper §4.2.3): each sparse layer's
+    /// block size is chosen from 1–128 points on a sample of its access
+    /// stream (see [`crate::mmu::simulate_sparse_accesses`]).
     Search,
 }
 
@@ -45,9 +46,6 @@ impl Default for RunOptions {
 
 /// Block sizes the compiler considers (paper Fig. 18 sweeps 1–128).
 const BLOCK_CANDIDATES: [usize; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
-
-/// Accesses sampled per candidate during block-size search.
-const SEARCH_SAMPLE: u64 = 50_000;
 
 /// The accelerator model.
 ///
@@ -136,8 +134,7 @@ impl Accelerator {
     ) -> LayerPerf {
         let mpu_cycles = self.mapping_cycles(layer);
         let mxu_cycles = self.mxu.layer_cycles(layer);
-        let (dram_bytes, cache_stats, cache_block, fused) =
-            self.layer_dram(index, layer, trace, fusion, opts);
+        let (dram_bytes, cache, fused) = self.layer_dram(index, layer, trace, fusion, opts);
 
         let mut channel = DramChannel::new(self.cfg.dram);
         channel.read(dram_bytes);
@@ -178,8 +175,8 @@ impl Accelerator {
             compute_energy,
             sram_energy,
             dram_energy,
-            cache_miss_rate: cache_stats.map(|s| s.miss_rate()),
-            cache_block_points: cache_block,
+            cache_miss_rate: cache.map(|(_, s)| s.miss_rate()),
+            cache_block_points: cache.map(|(c, _)| c.block_points),
             fused,
         }
     }
@@ -195,8 +192,8 @@ impl Accelerator {
         Cycles::new(layer.mapping.iter().map(|m| self.mpu.op_cycles(m)).sum())
     }
 
-    /// DRAM bytes of a layer under the chosen options, plus cache stats /
-    /// chosen block size / fusion membership.
+    /// DRAM bytes of a layer under the chosen options, plus the simulated
+    /// cache (geometry and statistics) and fusion membership.
     fn layer_dram(
         &self,
         index: usize,
@@ -204,20 +201,20 @@ impl Accelerator {
         trace: &NetworkTrace,
         fusion: &FusionPlan,
         opts: RunOptions,
-    ) -> (u64, Option<crate::mmu::CacheStats>, Option<usize>, bool) {
+    ) -> (u64, Option<(CacheConfig, CacheStats)>, bool) {
         // Fusion-group members (dense FCs, grouped shared-MLP layers and
         // inline pools) keep their activations on the MIR stack; only the
         // group head touches DRAM for activations.
         if let Some(group) = fusion.group_of(index) {
             let weights = layer.weight_bytes(self.cfg.elem_bytes);
-            let act = if fusion.is_group_head(index) {
-                let chain: Vec<LayerTrace> =
-                    group.layers.iter().map(|&j| trace.layers[j].clone()).collect();
-                fused_activation_bytes(&chain, self.cfg.elem_bytes)
-            } else {
-                0
+            let act = match group.layers[..] {
+                // Group members are consecutive trace indices.
+                [first, .., last] if first == index => {
+                    fused_activation_bytes(&trace.layers[first..=last], self.cfg.elem_bytes)
+                }
+                _ => 0,
             };
-            return (weights + act, None, None, true);
+            return (weights + act, None, true);
         }
         match layer.compute {
             // Map-less "sparse" layers (e.g. the broadcast interpolation
@@ -228,7 +225,7 @@ impl Accelerator {
                 let e = self.cfg.elem_bytes as u64;
                 let bytes = layer.n_in as u64 * layer.in_ch as u64 * e
                     + layer.n_out as u64 * layer.out_ch as u64 * e;
-                (bytes, None, None, false)
+                (bytes, None, false)
             }
             ComputeKind::SparseConv | ComputeKind::Grouped | ComputeKind::Interpolate => {
                 let plan = self.access_plan(layer);
@@ -239,30 +236,25 @@ impl Accelerator {
                         plan,
                         self.cfg.elem_bytes,
                     );
-                    return (t.total(), None, None, false);
+                    return (t.total(), None, false);
                 }
-                let cache_cfg = match opts.cache {
-                    CachePolicy::Off => None,
-                    CachePolicy::Fixed(bp) => Some(self.cache_config(layer, bp)),
-                    CachePolicy::Search => Some(self.search_block_size(layer, plan)),
-                };
-                let block = cache_cfg.map(|c| c.block_points);
-                let (t, stats) = sparse_layer_traffic(
-                    Flow::FetchOnDemand { cache: cache_cfg },
+                let candidates = self.cache_candidates(layer, opts.cache);
+                let (t, cache) = sparse_layer_traffic(
+                    Flow::FetchOnDemand { cache: &candidates },
                     layer,
                     plan,
                     self.cfg.elem_bytes,
                 );
-                (t.total(), stats, block, false)
+                (t.total(), cache, false)
             }
             ComputeKind::Dense => {
                 let t = dense_layer_traffic(layer, self.cfg.elem_bytes);
-                (t.total(), None, None, false)
+                (t.total(), None, false)
             }
             // Pooling reduces in the output datapath; its inputs are the
             // previous layer's outputs, already on chip (output
             // stationary).
-            ComputeKind::Pool => (0, None, None, false),
+            ComputeKind::Pool => (0, None, false),
         }
     }
 
@@ -284,26 +276,16 @@ impl Accelerator {
         }
     }
 
-    /// Compiler block-size search: simulate a sample of the access stream
-    /// per candidate and keep the one moving the fewest DRAM bytes.
-    fn search_block_size(&self, layer: &LayerTrace, plan: SparseAccessPlan) -> CacheConfig {
-        let maps = match &layer.maps {
-            Some(m) if !m.is_empty() => m,
-            _ => return self.cache_config(layer, 32),
+    /// The input-cache geometries `policy` lets `layer` choose from.
+    fn cache_candidates(&self, layer: &LayerTrace, policy: CachePolicy) -> Vec<CacheConfig> {
+        let blocks: &[usize] = match &policy {
+            CachePolicy::Off => &[],
+            CachePolicy::Fixed(bp) => std::slice::from_ref(bp),
+            // An empty map table has no stream to search on.
+            CachePolicy::Search if layer.maps.as_ref().is_none_or(|m| m.is_empty()) => &[32],
+            CachePolicy::Search => &BLOCK_CANDIDATES,
         };
-        let mut best = self.cache_config(layer, BLOCK_CANDIDATES[0]);
-        let mut best_bytes = u64::MAX;
-        for &bp in &BLOCK_CANDIDATES {
-            let cfg = self.cache_config(layer, bp);
-            let stats = crate::mmu::simulate_sparse_accesses(cfg, maps, plan, Some(SEARCH_SAMPLE));
-            // Normalize per access so truncated samples compare fairly.
-            let bytes = stats.dram_bytes * 1_000 / stats.accesses.max(1);
-            if bytes < best_bytes {
-                best_bytes = bytes;
-                best = cfg;
-            }
-        }
-        best
+        blocks.iter().map(|&bp| self.cache_config(layer, bp)).collect()
     }
 
     /// SRAM energy of one layer (input, weight and output buffer
@@ -405,6 +387,26 @@ mod tests {
             fused.dram_bytes()
         );
         assert!(fused.layers.iter().any(|l| l.fused));
+    }
+
+    #[test]
+    fn search_prices_each_layer_as_its_chosen_fixed_block() {
+        let t = trace(3000);
+        let acc = Accelerator::new(PointAccConfig::edge());
+        // Some layer's winner runs on past the sample.
+        let past_sample = |l: &LayerTrace| {
+            let plan = acc.access_plan(l);
+            let stream = l.maps.as_ref().map_or(0, |m| m.len() * plan.ic_tiles * plan.oc_tiles);
+            stream > crate::mmu::cache::SEARCH_SAMPLE as usize
+        };
+        assert!(t.layers.iter().any(past_sample));
+        for (i, l) in acc.run(&t).layers.iter().enumerate() {
+            let Some(bp) = l.cache_block_points else { continue };
+            let opts = RunOptions { cache: CachePolicy::Fixed(bp), ..RunOptions::default() };
+            let want = &acc.run_with(&t, opts).layers[i];
+            let got = (l.dram_bytes, l.cache_miss_rate);
+            assert_eq!(got, (want.dram_bytes, want.cache_miss_rate), "{}", l.name);
+        }
     }
 
     #[test]

@@ -3,12 +3,15 @@
 //! In Fetch-on-Demand flow the MMU configures the input feature buffers
 //! as a direct-mapped cache with a *software-controllable block size*:
 //! one block holds the features of `block_points` consecutive input
-//! points for one input-channel tile. The MIR container serves as the
-//! shared tag array.
+//! points for one input-channel tile. The compiler picks each sparse
+//! layer's block size by simulating a sample of the layer's access
+//! stream; [`simulate_sparse_accesses`] makes that choice and prices the
+//! whole stream in one walk of the loop nest.
 
 use pointacc_geom::MapTable;
 
-use super::mir::{MirContainer, MirMode};
+/// Accesses over which the candidate block sizes are compared.
+pub(crate) const SEARCH_SAMPLE: u64 = 50_000;
 
 /// Cache geometry for one sparse layer.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -59,56 +62,48 @@ impl CacheStats {
     }
 }
 
-/// A direct-mapped feature cache built on the MIR container.
-#[derive(Clone, Debug)]
-pub struct FeatureCache {
+/// One candidate's direct-mapped tag array: `tags[set]` holds the id of
+/// the block resident in that set. Ids are odd, so 0 marks an empty set.
+struct TagArray {
     cfg: CacheConfig,
-    tags: MirContainer,
-    stats: CacheStats,
+    tags: Vec<u64>,
+    misses: u64,
 }
 
-impl FeatureCache {
-    /// Creates an empty cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration yields zero blocks or zero-sized
-    /// blocks.
-    pub fn new(cfg: CacheConfig) -> Self {
-        assert!(cfg.block_points > 0 && cfg.row_bytes > 0, "cache block must be nonzero");
-        FeatureCache {
-            cfg,
-            tags: MirContainer::new(MirMode::TagArray, cfg.n_blocks(), cfg.capacity_bytes),
-            stats: CacheStats::default(),
-        }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> CacheConfig {
-        self.cfg
+impl TagArray {
+    fn new(cfg: CacheConfig) -> Self {
+        assert!(cfg.block_bytes() > 0, "cache block must be nonzero");
+        TagArray { cfg, tags: vec![0; cfg.n_blocks()], misses: 0 }
     }
 
     /// Accesses the features of input point `point` in channel-tile
-    /// `ic_tile`; returns `true` on hit.
-    pub fn access(&mut self, point: u32, ic_tile: u32) -> bool {
+    /// `ic_tile`; returns `true` on hit. A miss loads the block.
+    fn access(&mut self, point: u32, ic_tile: u32) -> bool {
         let block = point as u64 / self.cfg.block_points as u64;
         // Tag = (point block, channel tile); mixing the tile into the id
         // spreads tiles across sets.
         let id = block.wrapping_mul(0x9E37_79B9).wrapping_add((ic_tile as u64) << 1) | 1;
-        let hit = self.tags.probe(id, self.cfg.block_bytes());
-        self.stats.accesses += 1;
-        if hit {
-            self.stats.hits += 1;
-        } else {
-            self.stats.misses += 1;
-            self.stats.dram_bytes += self.cfg.block_bytes() as u64;
+        let set = (id % self.tags.len() as u64) as usize;
+        let hit = self.tags[set] == id;
+        if !hit {
+            self.tags[set] = id;
+            self.misses += 1;
         }
         hit
     }
 
-    /// Accumulated statistics.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
+    fn dram_bytes(&self) -> u64 {
+        self.misses * self.cfg.block_bytes() as u64
+    }
+}
+
+/// Keeps only the candidate that moved the fewest DRAM bytes per access
+/// over the `accesses` seen so far; ties go to the earlier candidate.
+fn keep_cheapest(live: &mut Vec<TagArray>, accesses: u64) {
+    let cost = |c: &TagArray| c.dram_bytes() * 1_000 / accesses.max(1);
+    if let Some(best) = (0..live.len()).min_by_key(|&i| cost(&live[i])) {
+        live.swap(0, best);
+        live.truncate(1);
     }
 }
 
@@ -126,25 +121,37 @@ pub struct SparseAccessPlan {
 }
 
 /// Simulates the Fetch-on-Demand access stream of one sparse layer
-/// through the cache and returns the statistics.
+/// through the input cache. Returns the geometry that priced the stream
+/// and its statistics, or `None` when `candidates` is empty (no cache).
+///
+/// Several candidates make this the compiler's block-size search: all
+/// see the first `SEARCH_SAMPLE` accesses (or the whole, shorter
+/// stream), then the one that moved the fewest DRAM bytes per access,
+/// the earlier on a tie, runs on alone. A cache's state depends only on
+/// the accesses it has seen, so the winner's statistics equal those of
+/// a fresh run over the whole stream.
 ///
 /// Loop nest (paper §4.2.2): output-stationary outer over output tiles
 /// and output-channel tiles; weight-stationary inner over kernel offsets
 /// and the maps of the resident outputs; input channels tiled innermost.
 ///
-/// If `sample_limit` is `Some(n)`, simulation stops after `n` accesses
-/// (used by the compiler's block-size search).
+/// # Panics
+///
+/// Panics if a candidate's block is zero-sized.
 pub fn simulate_sparse_accesses(
-    cfg: CacheConfig,
+    candidates: &[CacheConfig],
     maps: &MapTable,
     plan: SparseAccessPlan,
-    sample_limit: Option<u64>,
-) -> CacheStats {
-    let mut cache = FeatureCache::new(cfg);
+) -> Option<(CacheConfig, CacheStats)> {
+    if candidates.is_empty() {
+        return None;
+    }
+    let mut live: Vec<TagArray> = candidates.iter().map(|&cfg| TagArray::new(cfg)).collect();
+    let mut accesses = 0u64;
     let n_out = maps.outputs().iter().max().map_or(0, |&m| m as usize + 1);
     let tile_pts = plan.out_tile_points.max(1);
     let n_tiles = n_out.div_ceil(tile_pts).max(1);
-    'outer: for t in 0..n_tiles {
+    for t in 0..n_tiles {
         let lo = (t * tile_pts) as u32;
         let hi = ((t + 1) * tile_pts) as u32;
         for _oc in 0..plan.oc_tiles {
@@ -156,24 +163,34 @@ pub fn simulate_sparse_accesses(
                     let start = group.outputs().partition_point(|&o| o < lo);
                     let end = group.outputs().partition_point(|&o| o < hi);
                     for &input in &group.inputs()[start..end] {
-                        cache.access(input, ic as u32);
-                        if let Some(limit) = sample_limit {
-                            if cache.stats().accesses >= limit {
-                                break 'outer;
-                            }
+                        for cache in &mut live {
+                            cache.access(input, ic as u32);
+                        }
+                        accesses += 1;
+                        if accesses == SEARCH_SAMPLE {
+                            keep_cheapest(&mut live, accesses);
                         }
                     }
                 }
             }
         }
     }
-    cache.stats()
+    keep_cheapest(&mut live, accesses);
+    let winner = live.pop()?;
+    let stats = CacheStats {
+        accesses,
+        hits: accesses - winner.misses,
+        misses: winner.misses,
+        dram_bytes: winner.dram_bytes(),
+    };
+    Some((winner.cfg, stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pointacc_geom::MapEntry;
+    use std::collections::HashMap;
 
     fn seq_maps(n: usize, k: usize) -> MapTable {
         // Each output q reads inputs q, q+1, …, q+k−1 under k weights —
@@ -192,6 +209,22 @@ mod tests {
         SparseAccessPlan { ic_tiles: 1, oc_tiles: 1, out_tile_points: 64 }
     }
 
+    fn fixed(cfg: CacheConfig, maps: &MapTable) -> CacheStats {
+        simulate_sparse_accesses(&[cfg], maps, plan()).unwrap().1
+    }
+
+    #[test]
+    fn tag_array_hits_and_misses() {
+        let cfg = CacheConfig { capacity_bytes: 4 * 64, block_points: 1, row_bytes: 64 };
+        let mut c = TagArray::new(cfg);
+        assert_eq!(c.tags.len(), 4);
+        assert!(!c.access(0, 0)); // cold miss
+        assert!(c.access(0, 0)); // hit
+        assert!(!c.access(4, 0)); // conflict: both ids land in set 1 of 4
+        assert!(!c.access(0, 0)); // evicted by point 4
+        assert_eq!(c.misses, 3);
+    }
+
     #[test]
     fn bigger_blocks_reduce_miss_rate() {
         // Paper Fig. 18: miss rate decreases with block size.
@@ -199,7 +232,7 @@ mod tests {
         let mut last = f64::INFINITY;
         for bp in [1usize, 4, 16, 64] {
             let cfg = CacheConfig { capacity_bytes: 64 * 1024, block_points: bp, row_bytes: 128 };
-            let s = simulate_sparse_accesses(cfg, &maps, plan(), None);
+            let s = fixed(cfg, &maps);
             assert!(
                 s.miss_rate() <= last + 1e-9,
                 "block {bp}: rate {} should not exceed {last}",
@@ -213,8 +246,8 @@ mod tests {
     fn more_neighbors_reduce_miss_rate() {
         // Paper Fig. 18: higher kernel size (more neighbors) → more reuse.
         let cfg = CacheConfig { capacity_bytes: 32 * 1024, block_points: 8, row_bytes: 128 };
-        let s2 = simulate_sparse_accesses(cfg, &seq_maps(4096, 2), plan(), None);
-        let s3 = simulate_sparse_accesses(cfg, &seq_maps(4096, 8), plan(), None);
+        let s2 = fixed(cfg, &seq_maps(4096, 2));
+        let s3 = fixed(cfg, &seq_maps(4096, 8));
         assert!(
             s3.miss_rate() < s2.miss_rate(),
             "k=8 rate {} should be below k=2 rate {}",
@@ -226,16 +259,9 @@ mod tests {
     #[test]
     fn dram_bytes_equal_misses_times_block() {
         let cfg = CacheConfig { capacity_bytes: 4 * 1024, block_points: 4, row_bytes: 64 };
-        let s = simulate_sparse_accesses(cfg, &seq_maps(512, 3), plan(), None);
+        let s = fixed(cfg, &seq_maps(512, 3));
         assert_eq!(s.dram_bytes, s.misses * cfg.block_bytes() as u64);
         assert_eq!(s.accesses, s.hits + s.misses);
-    }
-
-    #[test]
-    fn sampling_stops_early() {
-        let cfg = CacheConfig { capacity_bytes: 4 * 1024, block_points: 4, row_bytes: 64 };
-        let s = simulate_sparse_accesses(cfg, &seq_maps(512, 3), plan(), Some(100));
-        assert_eq!(s.accesses, 100);
     }
 
     #[test]
@@ -243,7 +269,115 @@ mod tests {
         // Working set fits: only cold misses remain.
         let maps = seq_maps(64, 4);
         let cfg = CacheConfig { capacity_bytes: 1024 * 1024, block_points: 1, row_bytes: 128 };
-        let s = simulate_sparse_accesses(cfg, &maps, plan(), None);
+        let s = fixed(cfg, &maps);
         assert_eq!(s.misses, 64, "one cold miss per distinct input point");
+    }
+
+    /// The two-step search, modeled independently of the one pass: the
+    /// access order from its own loop nest (a filter in place of the
+    /// binary search), a fresh `HashMap` (set → tag) per run, every
+    /// candidate on the first `sample` accesses, then the winner fresh
+    /// over the whole stream.
+    fn naive_search(
+        candidates: &[CacheConfig],
+        maps: &MapTable,
+        plan: SparseAccessPlan,
+        sample: usize,
+    ) -> (CacheConfig, CacheStats) {
+        let n_out = maps.outputs().iter().map(|&q| q as usize + 1).max().unwrap_or(0);
+        let mut order = Vec::new();
+        for lo in (0..n_out.max(1)).step_by(plan.out_tile_points) {
+            let resident = lo..lo + plan.out_tile_points;
+            for _oc in 0..plan.oc_tiles {
+                for ic in 0..plan.ic_tiles as u32 {
+                    for w in 0..maps.n_weights() {
+                        let g = maps.group(w);
+                        for (&p, &q) in g.inputs().iter().zip(g.outputs()) {
+                            if resident.contains(&(q as usize)) {
+                                order.push((p, ic));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let run = |cfg: CacheConfig, n: usize| {
+            let mut sets = HashMap::new();
+            let mut s = CacheStats::default();
+            for &(p, ic) in order.iter().take(n) {
+                let block = (p as usize / cfg.block_points) as u64;
+                let id = block.wrapping_mul(0x9E37_79B9).wrapping_add(u64::from(ic) << 1) | 1;
+                s.accesses += 1;
+                if sets.insert(id % cfg.n_blocks() as u64, id) == Some(id) {
+                    s.hits += 1;
+                } else {
+                    s.misses += 1;
+                    s.dram_bytes += cfg.block_bytes() as u64;
+                }
+            }
+            s
+        };
+        let mut best = (candidates[0], u64::MAX);
+        for &cfg in candidates {
+            let s = run(cfg, sample);
+            let cost = s.dram_bytes * 1_000 / s.accesses.max(1);
+            if cost < best.1 {
+                best = (cfg, cost);
+            }
+        }
+        (best.0, run(best.0, order.len()))
+    }
+
+    /// `n_maps` maps under `k` weights, outputs ascending. Output `q`
+    /// reads inputs at seeded offsets in `q..q + spread(q)`: a narrow
+    /// window favours bigger blocks, a wide one block 1.
+    fn seeded_maps(seed: u64, n_maps: usize, k: usize, spread: impl Fn(usize) -> u64) -> MapTable {
+        let mut x = seed;
+        let entries = (0..n_maps)
+            .map(|i| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let q = i / k;
+                MapEntry::new((q as u64 + x % spread(q)) as u32, q as u32, (i % k) as u16)
+            })
+            .collect();
+        MapTable::from_entries(entries, k)
+    }
+
+    #[test]
+    fn one_pass_matches_sample_then_fresh_run() {
+        let geometry =
+            |cap, bp| CacheConfig { capacity_bytes: cap, block_points: bp, row_bytes: 64 };
+        let all = [1, 2, 4, 8, 16, 32, 64, 128].map(|bp| geometry(64 << 10, bp));
+        let tiles =
+            |ic_tiles, oc_tiles| SparseAccessPlan { ic_tiles, oc_tiles, out_tile_points: 300 };
+        let sample = SEARCH_SAMPLE as usize;
+        let wide_then_narrow = |q| if q < 1_000 { 4096 } else { 8 };
+        let cases = [
+            // Shorter than the sample: decided at the end of the stream.
+            ("short", seeded_maps(1, 20_000, 4, |_| 64), tiles(1, 1), &all[..], 20_000),
+            ("exact", seeded_maps(2, 25_000, 8, |_| 16), tiles(2, 1), &all, sample),
+            // The sample's wide windows pick block 1, although block 2
+            // moves fewer bytes over the whole stream.
+            ("long", seeded_maps(3, 30_000, 3, wide_then_narrow), tiles(2, 2), &all, 120_000),
+        ];
+        for (name, maps, plan, candidates, len) in cases {
+            let (cfg, stats) = simulate_sparse_accesses(candidates, &maps, plan).unwrap();
+            assert_eq!((cfg, stats), naive_search(candidates, &maps, plan, sample), "{name}");
+            assert_eq!(stats.accesses, len as u64, "{name}");
+            if name == "long" {
+                let whole_stream_best = naive_search(candidates, &maps, plan, len).0;
+                assert_ne!(cfg, whole_stream_best, "the sample, not the stream, decides");
+            }
+        }
+        // Every input read once and everything fits: both block sizes
+        // load the same bytes, and the earlier candidate wins the tie.
+        let maps = seq_maps(4096, 1);
+        let pair = [geometry(1 << 20, 8), geometry(1 << 20, 4)];
+        let (cfg, stats) = simulate_sparse_accesses(&pair, &maps, plan()).unwrap();
+        assert_eq!((cfg, stats), naive_search(&pair, &maps, plan(), sample));
+        assert_eq!(fixed(pair[1], &maps).dram_bytes, stats.dram_bytes);
+        assert_eq!(cfg.block_points, 8);
     }
 }

@@ -37,30 +37,30 @@ impl LayerTraffic {
 
 /// Computation flow selector.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Flow {
-    /// PointAcc's streaming flow; `cache` enables the configurable input
-    /// cache (None = pure streaming, every map fetches its row).
+pub enum Flow<'a> {
+    /// PointAcc's streaming flow through the configurable input cache.
     FetchOnDemand {
-        /// Optional input-cache configuration.
-        cache: Option<CacheConfig>,
+        /// Geometries for [`simulate_sparse_accesses`] to choose from
+        /// (none = pure streaming, every map fetches its row).
+        cache: &'a [CacheConfig],
     },
     /// The GPU-style flow with explicit gather and scatter in DRAM.
     GatherMatMulScatter,
 }
 
 /// Computes the DRAM traffic of one sparse / grouped / interpolate layer
-/// under `flow`. Returns the traffic plus cache statistics when a cache
-/// was simulated.
+/// under `flow`. Returns the traffic plus, when a cache was simulated,
+/// the geometry it used and its statistics.
 ///
 /// # Panics
 ///
 /// Panics if the layer carries no map table.
 pub fn sparse_layer_traffic(
-    flow: Flow,
+    flow: Flow<'_>,
     layer: &LayerTrace,
     plan: SparseAccessPlan,
     elem_bytes: usize,
-) -> (LayerTraffic, Option<CacheStats>) {
+) -> (LayerTraffic, Option<(CacheConfig, CacheStats)>) {
     let maps = layer.maps.as_ref().expect("sparse layer traffic requires a map table");
     let n_maps = maps.len() as u64;
     let e = elem_bytes as u64;
@@ -70,29 +70,13 @@ pub fn sparse_layer_traffic(
     let out_rows = layer.pool_group.map_or(layer.n_out, |g| layer.n_out / g.max(1)) as u64;
     let output_write = out_rows * oc * e;
     match flow {
-        Flow::FetchOnDemand { cache } => match cache {
-            Some(cfg) => {
-                let stats = simulate_sparse_accesses(cfg, maps, plan, None);
-                // The simulated stream covers row-granular accesses per
-                // ic-tile; dram bytes already account for block loads.
-                let traffic = LayerTraffic {
-                    input_read: stats.dram_bytes,
-                    weight_read,
-                    output_write,
-                    intermediate: 0,
-                };
-                (traffic, Some(stats))
-            }
-            None => {
-                let traffic = LayerTraffic {
-                    input_read: n_maps * ic * e,
-                    weight_read,
-                    output_write,
-                    intermediate: 0,
-                };
-                (traffic, None)
-            }
-        },
+        Flow::FetchOnDemand { cache } => {
+            let cached = simulate_sparse_accesses(cache, maps, plan);
+            // Without a cache every map fetches its input row; with one,
+            // the simulated block loads are the input reads.
+            let input_read = cached.map_or(n_maps * ic * e, |(_, stats)| stats.dram_bytes);
+            (LayerTraffic { input_read, weight_read, output_write, intermediate: 0 }, cached)
+        }
         Flow::GatherMatMulScatter => {
             // gather: read rows + write contiguous matrix; matmul: read
             // matrix, write psums; scatter: read psums, accumulate into
@@ -161,7 +145,7 @@ mod tests {
     fn fetch_on_demand_beats_gather_scatter() {
         // Paper §4.2.3: FoD saves input-feature DRAM access by ≥ 3×.
         let l = layer(2048, 8, 64);
-        let (fod, _) = sparse_layer_traffic(Flow::FetchOnDemand { cache: None }, &l, plan(), 2);
+        let (fod, _) = sparse_layer_traffic(Flow::FetchOnDemand { cache: &[] }, &l, plan(), 2);
         let (gms, _) = sparse_layer_traffic(Flow::GatherMatMulScatter, &l, plan(), 2);
         assert!(
             gms.total() as f64 / fod.total() as f64 >= 2.5,
@@ -178,13 +162,13 @@ mod tests {
         // Paper Fig. 19: the configurable cache reduces per-layer DRAM
         // access 3.5–6.3×.
         let l = layer(2048, 8, 64);
-        let (nocache, _) = sparse_layer_traffic(Flow::FetchOnDemand { cache: None }, &l, plan(), 2);
+        let (nocache, _) = sparse_layer_traffic(Flow::FetchOnDemand { cache: &[] }, &l, plan(), 2);
         let cfg = CacheConfig { capacity_bytes: 256 * 1024, block_points: 16, row_bytes: 128 };
         let (cached, stats) =
-            sparse_layer_traffic(Flow::FetchOnDemand { cache: Some(cfg) }, &l, plan(), 2);
+            sparse_layer_traffic(Flow::FetchOnDemand { cache: &[cfg] }, &l, plan(), 2);
         let ratio = nocache.input_read as f64 / cached.input_read as f64;
         assert!(ratio > 2.0, "cache should cut input reads, got {ratio}×");
-        assert!(stats.unwrap().miss_rate() < 0.5);
+        assert!(stats.unwrap().1.miss_rate() < 0.5);
     }
 
     #[test]

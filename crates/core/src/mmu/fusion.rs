@@ -11,7 +11,7 @@
 
 use pointacc_nn::{ComputeKind, LayerTrace};
 
-use super::mir::{MirContainer, MirMode};
+use super::mir::MirContainer;
 
 /// A planned fusion group: consecutive trace indices executed without
 /// spilling intermediates to DRAM.
@@ -35,11 +35,6 @@ impl FusionPlan {
     /// Returns the group containing trace index `i`, if any.
     pub fn group_of(&self, i: usize) -> Option<&FusionGroup> {
         self.groups.iter().find(|g| g.layers.contains(&i))
-    }
-
-    /// Whether layer `i` is the first of its group.
-    pub fn is_group_head(&self, i: usize) -> bool {
-        self.groups.iter().any(|g| g.layers.first() == Some(&i))
     }
 }
 
@@ -164,7 +159,7 @@ pub fn simulate_fused_chain(
 ) -> u64 {
     assert!(!chain.is_empty() && tile_points > 0, "invalid fusion schedule");
     let rows = chain[0].n_out;
-    let mut stack = MirContainer::new(MirMode::Stack, chain.len() + 1, buf_bytes);
+    let mut stack = MirContainer::new(chain.len() + 1, buf_bytes);
     let mut dram: u64 = 0;
     let n_tiles = rows.div_ceil(tile_points);
     for t in 0..n_tiles {

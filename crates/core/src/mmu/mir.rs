@@ -2,17 +2,17 @@
 //! (paper Fig. 11a/b).
 //!
 //! The MMU manages on-chip buffers in the granularity of *tiles*; each
-//! tile's metadata (base offset, capacity, occupancy, tag) lives in a
-//! MIR. The MIR container is mode-switched per layer: a **tag array**
-//! when the input buffers act as a cache for sparse computation, a
-//! **FIFO** for plain dense streaming, and a **stack** for temporal layer
-//! fusion (Fig. 12a).
+//! tile's metadata (base offset, capacity, occupancy, id) lives in a
+//! MIR. For temporal layer fusion the container works as a **stack** of
+//! per-layer tiles (Fig. 12a); [`crate::mmu::fusion::simulate_fused_chain`]
+//! replays fused chains on it to check the fusion planner. When the
+//! input buffers act as a cache (Fig. 11b), only the tags matter to the
+//! model, so [`crate::mmu::cache`] keeps them in a plain array.
 
 /// Metadata of one memory tile.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct Mir {
-    /// Tile identity: cache tag in tag-array mode, layer id in stack
-    /// mode.
+    /// Tile identity (the layer id).
     pub id: u64,
     /// Base offset of the tile in the buffer, bytes.
     pub base: usize,
@@ -22,22 +22,10 @@ pub struct Mir {
     pub occupancy: usize,
 }
 
-/// Operating mode of the MIR container.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum MirMode {
-    /// Direct-mapped tag array (cache for sparse computation).
-    TagArray,
-    /// FIFO of prefetch tiles (dense streaming).
-    Fifo,
-    /// Stack of per-layer tiles (temporal layer fusion).
-    Stack,
-}
-
 /// The MIR container: a fixed number of MIR slots plus the byte budget of
 /// the buffer they describe.
 #[derive(Clone, Debug)]
 pub struct MirContainer {
-    mode: MirMode,
     capacity_bytes: usize,
     slots: Vec<Option<Mir>>,
 }
@@ -49,68 +37,14 @@ impl MirContainer {
     /// # Panics
     ///
     /// Panics if `n_slots == 0` or `capacity_bytes == 0`.
-    pub fn new(mode: MirMode, n_slots: usize, capacity_bytes: usize) -> Self {
+    pub fn new(n_slots: usize, capacity_bytes: usize) -> Self {
         assert!(n_slots > 0 && capacity_bytes > 0, "container must be nonzero");
-        MirContainer { mode, capacity_bytes, slots: vec![None; n_slots] }
+        MirContainer { capacity_bytes, slots: vec![None; n_slots] }
     }
 
-    /// Current mode.
-    pub fn mode(&self) -> MirMode {
-        self.mode
-    }
-
-    /// Buffer capacity in bytes.
-    pub fn capacity_bytes(&self) -> usize {
-        self.capacity_bytes
-    }
-
-    /// Number of MIR slots.
-    pub fn n_slots(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Switches mode, clearing all tiles (the paper reconfigures between
-    /// layers).
-    pub fn set_mode(&mut self, mode: MirMode) {
-        self.mode = mode;
-        self.slots.fill(None);
-    }
-
-    // ---------------- Tag-array (cache) mode ----------------
-
-    /// Cache lookup in tag-array mode: returns `true` on hit; on miss the
-    /// slot is refilled with `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if not in [`MirMode::TagArray`] mode.
-    pub fn probe(&mut self, id: u64, tile_bytes: usize) -> bool {
-        assert_eq!(self.mode, MirMode::TagArray, "probe requires tag-array mode");
-        let set = (id % self.slots.len() as u64) as usize;
-        match &self.slots[set] {
-            Some(m) if m.id == id => true,
-            _ => {
-                self.slots[set] = Some(Mir {
-                    id,
-                    base: set * tile_bytes,
-                    capacity: tile_bytes,
-                    occupancy: tile_bytes,
-                });
-                false
-            }
-        }
-    }
-
-    // ---------------- Stack (fusion) mode ----------------
-
-    /// Pushes a tile in stack mode; fails with `None` if the byte budget
-    /// or slot count would overflow.
-    ///
-    /// # Panics
-    ///
-    /// Panics if not in [`MirMode::Stack`] mode.
+    /// Pushes a tile; fails with `None` if the byte budget or slot count
+    /// would overflow.
     pub fn push(&mut self, id: u64, bytes: usize) -> Option<usize> {
-        assert_eq!(self.mode, MirMode::Stack, "push requires stack mode");
         let used: usize = self.slots.iter().flatten().map(|m| m.occupancy).sum();
         if used + bytes > self.capacity_bytes {
             return None;
@@ -122,13 +56,11 @@ impl MirContainer {
 
     /// The top-of-stack MIR (highest base), if any.
     pub fn top(&self) -> Option<&Mir> {
-        assert_eq!(self.mode, MirMode::Stack, "top requires stack mode");
         self.slots.iter().flatten().max_by_key(|m| m.base)
     }
 
-    /// Pops the top tile in stack mode.
+    /// Pops the top tile.
     pub fn pop(&mut self) -> Option<Mir> {
-        assert_eq!(self.mode, MirMode::Stack, "pop requires stack mode");
         let top_idx = self
             .slots
             .iter()
@@ -164,17 +96,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tag_array_hits_and_misses() {
-        let mut c = MirContainer::new(MirMode::TagArray, 4, 4096);
-        assert!(!c.probe(10, 64)); // cold miss
-        assert!(c.probe(10, 64)); // hit
-        assert!(!c.probe(14, 64)); // conflict: 14 % 4 == 10 % 4
-        assert!(!c.probe(10, 64)); // evicted by 14
-    }
-
-    #[test]
     fn stack_push_pop_lifo() {
-        let mut c = MirContainer::new(MirMode::Stack, 4, 1000);
+        let mut c = MirContainer::new(4, 1000);
         c.push(0, 400).unwrap();
         c.push(1, 300).unwrap();
         assert_eq!(c.top().unwrap().id, 1);
@@ -185,7 +108,7 @@ mod tests {
 
     #[test]
     fn stack_respects_byte_budget() {
-        let mut c = MirContainer::new(MirMode::Stack, 4, 1000);
+        let mut c = MirContainer::new(4, 1000);
         c.push(0, 800).unwrap();
         assert!(c.push(1, 300).is_none(), "must reject overflow");
         assert_eq!(c.occupied_bytes(), 800);
@@ -195,25 +118,10 @@ mod tests {
     fn shrink_releases_used_half() {
         // Fig. 12b stage 2: layer-1 tile capacity halves after half its
         // inputs are consumed.
-        let mut c = MirContainer::new(MirMode::Stack, 4, 1000);
+        let mut c = MirContainer::new(4, 1000);
         c.push(1, 600).unwrap();
         assert!(c.shrink(1, 300));
         assert_eq!(c.occupied_bytes(), 300);
         assert!(c.push(2, 600).is_some(), "freed space is reusable");
-    }
-
-    #[test]
-    fn mode_switch_clears_tiles() {
-        let mut c = MirContainer::new(MirMode::Stack, 2, 100);
-        c.push(0, 50).unwrap();
-        c.set_mode(MirMode::TagArray);
-        assert!(!c.probe(0, 50));
-    }
-
-    #[test]
-    #[should_panic(expected = "tag-array mode")]
-    fn probe_in_stack_mode_panics() {
-        let mut c = MirContainer::new(MirMode::Stack, 2, 100);
-        let _ = c.probe(0, 10);
     }
 }

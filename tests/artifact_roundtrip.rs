@@ -202,7 +202,6 @@ fn real_benchmark_warm_start_is_bit_exact() {
     let loaded = warm.get_or_build(&key, || panic!("warm start must not compile"));
     assert_eq!(warm.stats().compiles, 0, "second run compiles zero traces");
     assert_eq!(warm.stats().disk_hits, 1);
-    assert_eq!(warm.compile_count(&key), 0);
     assert_eq!(*loaded, *compiled, "loaded trace equals the freshly compiled one");
     assert_eq!(loaded.fingerprint(), compiled.fingerprint());
     assert_eq!(loaded.total_macs(), compiled.total_macs());

@@ -179,17 +179,14 @@ fn repeated_grid_runs_compile_each_trace_exactly_once() {
     let first = grid();
     let second = grid();
 
-    let cache = pointacc_bench::cache::global();
     for (b, bench) in benchmarks.iter().enumerate() {
-        let key = pointacc_bench::benchmark_trace_key(bench, seed, scale);
-        assert_eq!(
-            cache.compile_count(&key),
-            1,
+        // A recompile would have allocated a second trace.
+        assert!(
+            std::ptr::eq(first.trace(b, 0), second.trace(b, 0)),
             "{} compiled more than once across identical runs",
             bench.notation
         );
-        // Both runs share the identical compiled trace and reports.
-        assert_eq!(first.trace(b, 0).fingerprint(), second.trace(b, 0).fingerprint());
+        // So both runs price it identically.
         assert_eq!(first.report(0, b, 0), second.report(0, b, 0));
         assert_eq!(first.report(1, b, 0), second.report(1, b, 0));
     }
