@@ -37,9 +37,6 @@ pub struct PointAccConfig {
     pub sorter_buf_bytes: usize,
     /// Bytes per feature element (fp16 datapath).
     pub elem_bytes: usize,
-    /// Whether the compiler searches cache block sizes per layer
-    /// (otherwise a fixed 32-point block is used).
-    pub cache_block_search: bool,
     /// Chip + memory-system average power beyond the counted events
     /// (clock tree, control, DRAM background), watts. Distributed over
     /// the per-layer energy components proportionally.
@@ -62,7 +59,6 @@ impl PointAccConfig {
             weight_buf_bytes: 128 * 1024,
             sorter_buf_bytes: 72 * 1024,
             elem_bytes: 2,
-            cache_block_search: true,
             system_power_w: 30.0,
         }
     }
@@ -82,7 +78,6 @@ impl PointAccConfig {
             weight_buf_bytes: 48 * 1024,
             sorter_buf_bytes: 18 * 1024,
             elem_bytes: 2,
-            cache_block_search: true,
             system_power_w: 3.0,
         }
     }

@@ -7,6 +7,18 @@
 //! layer's block size by simulating a sample of the layer's access
 //! stream; [`simulate_sparse_accesses`] makes that choice and prices the
 //! whole stream in one walk of the loop nest.
+//!
+//! The walk is bit-exact but need not visit every access. The loop nest
+//! replays an output tile's input stream once per output-channel tile,
+//! and a direct-mapped set holds the last block mapped to it. After any
+//! complete pass, each set the pass touches therefore holds that pass's
+//! last id for the set, whatever it held before: the state after pass 1
+//! is a fixed point, and every later pass misses exactly as pass 2 does.
+//! Once the block-size search is down to one live geometry, the walk
+//! takes the next pass of the tile and multiplies its misses and
+//! accesses over the tile's remaining passes. So it walks two passes per
+//! output tile, plus those the search walks while it compares
+//! candidates.
 
 use pointacc_geom::MapTable;
 
@@ -62,28 +74,72 @@ impl CacheStats {
     }
 }
 
+/// `ceil(2^64 / d)`, the multiplier [`div_block`] divides by.
+fn block_recip(d: u64) -> u128 {
+    (1u128 << 64).div_ceil(u128::from(d))
+}
+
+/// `point / d`, given `recip = block_recip(d)`: the high part of
+/// `recip·point`. Exact for every `d`: up to `2^32`, `F = 64 ≥ 32 + 32`;
+/// a larger `d` exceeds every 32-bit point, and `recip·point` stays below
+/// `2^32·2^32`, so the quotient is 0.
+fn div_block(point: u32, recip: u128) -> u64 {
+    ((recip * u128::from(point)) >> 64) as u64
+}
+
+/// `ceil(2^128 / sets)` mod 2^128, the multiplier [`rem_set`] reduces
+/// by (0 for one set, where every remainder is 0).
+fn set_recip(sets: u64) -> u128 {
+    (u128::MAX / u128::from(sets)).wrapping_add(1)
+}
+
+/// `id % sets`, given `recip = set_recip(sets)`: the high 128 bits of
+/// `(recip·id mod 2^128)·sets`, taken in two 64-bit halves. Exact for
+/// every 64-bit id when `sets < 2^32`, as `F = 128 ≥ 64 + 32`.
+fn rem_set(id: u64, recip: u128, sets: u64) -> u64 {
+    let low = recip.wrapping_mul(u128::from(id));
+    let sets = u128::from(sets);
+    (((low >> 64) * sets + ((low as u64 as u128 * sets) >> 64)) >> 64) as u64
+}
+
 /// One candidate's direct-mapped tag array: `tags[set]` holds the id of
 /// the block resident in that set. Ids are odd, so 0 marks an empty set.
+///
+/// The probe divides by multiplying (Lemire, Kaser & Kurz, "Faster
+/// remainder by direct computation", SPE 2019): with `c = ceil(2^F/d)`,
+/// `n / d` is the high part of `c·n`, and `n % d` the high part of
+/// `(c·n mod 2^F)·d`, both exact for every `n < 2^N` when
+/// `F ≥ N + log2 d`.
 struct TagArray {
     cfg: CacheConfig,
     tags: Vec<u64>,
     misses: u64,
+    block_recip: u128,
+    set_recip: u128,
 }
 
 impl TagArray {
     fn new(cfg: CacheConfig) -> Self {
         assert!(cfg.block_bytes() > 0, "cache block must be nonzero");
-        TagArray { cfg, tags: vec![0; cfg.n_blocks()], misses: 0 }
+        let sets = cfg.n_blocks() as u64;
+        assert!(sets < 1 << 32, "{sets} cache sets: the set remainder needs fewer than 2^32");
+        TagArray {
+            cfg,
+            tags: vec![0; sets as usize],
+            misses: 0,
+            block_recip: block_recip(cfg.block_points as u64),
+            set_recip: set_recip(sets),
+        }
     }
 
     /// Accesses the features of input point `point` in channel-tile
     /// `ic_tile`; returns `true` on hit. A miss loads the block.
     fn access(&mut self, point: u32, ic_tile: u32) -> bool {
-        let block = point as u64 / self.cfg.block_points as u64;
+        let block = div_block(point, self.block_recip);
         // Tag = (point block, channel tile); mixing the tile into the id
         // spreads tiles across sets.
         let id = block.wrapping_mul(0x9E37_79B9).wrapping_add((ic_tile as u64) << 1) | 1;
-        let set = (id % self.tags.len() as u64) as usize;
+        let set = rem_set(id, self.set_recip, self.tags.len() as u64) as usize;
         let hit = self.tags[set] == id;
         if !hit {
             self.tags[set] = id;
@@ -134,10 +190,17 @@ pub struct SparseAccessPlan {
 /// Loop nest (paper §4.2.2): output-stationary outer over output tiles
 /// and output-channel tiles; weight-stationary inner over kernel offsets
 /// and the maps of the resident outputs; input channels tiled innermost.
+/// Every output-channel pass of a tile reads the same stream, and after
+/// one complete pass each set the stream touches holds the pass's last
+/// id for that set, so all later passes miss alike. Once one geometry is
+/// live and a pass of the tile is complete, the next pass is walked and
+/// its misses and accesses count for each of the tile's remaining
+/// passes too.
 ///
 /// # Panics
 ///
-/// Panics if a candidate's block is zero-sized.
+/// Panics if a candidate's block is zero-sized, or if it has 2^32 or
+/// more sets (the set remainder's exactness bound).
 pub fn simulate_sparse_accesses(
     candidates: &[CacheConfig],
     maps: &MapTable,
@@ -151,28 +214,29 @@ pub fn simulate_sparse_accesses(
     let n_out = maps.outputs().iter().max().map_or(0, |&m| m as usize + 1);
     let tile_pts = plan.out_tile_points.max(1);
     let n_tiles = n_out.div_ceil(tile_pts).max(1);
+    let mut resident: Vec<&[u32]> = Vec::with_capacity(maps.n_weights());
     for t in 0..n_tiles {
         let lo = (t * tile_pts) as u32;
         let hi = ((t + 1) * tile_pts) as u32;
-        for _oc in 0..plan.oc_tiles {
-            for ic in 0..plan.ic_tiles {
-                for w in 0..maps.n_weights() {
-                    let group = maps.group(w);
-                    // Maps are emitted in ascending output order, so the
-                    // resident range is a contiguous slice.
-                    let start = group.outputs().partition_point(|&o| o < lo);
-                    let end = group.outputs().partition_point(|&o| o < hi);
-                    for &input in &group.inputs()[start..end] {
-                        for cache in &mut live {
-                            cache.access(input, ic as u32);
-                        }
-                        accesses += 1;
-                        if accesses == SEARCH_SAMPLE {
-                            keep_cheapest(&mut live, accesses);
-                        }
-                    }
-                }
+        // Maps are emitted in ascending output order, so each weight's
+        // resident maps are a contiguous slice.
+        resident.clear();
+        resident.extend((0..maps.n_weights()).map(|w| {
+            let group = maps.group(w);
+            let start = group.outputs().partition_point(|&o| o < lo);
+            let end = group.outputs().partition_point(|&o| o < hi);
+            &group.inputs()[start..end]
+        }));
+        for oc in 0..plan.oc_tiles {
+            if oc > 0 && live.len() == 1 {
+                let (misses, walked) = (live[0].misses, accesses);
+                walk_pass(&mut live, &mut accesses, &resident, plan.ic_tiles);
+                let rest = (plan.oc_tiles - oc - 1) as u64;
+                live[0].misses += rest * (live[0].misses - misses);
+                accesses += rest * (accesses - walked);
+                break;
             }
+            walk_pass(&mut live, &mut accesses, &resident, plan.ic_tiles);
         }
     }
     keep_cheapest(&mut live, accesses);
@@ -186,10 +250,38 @@ pub fn simulate_sparse_accesses(
     Some((winner.cfg, stats))
 }
 
+/// One output-channel pass over an output tile: every input-channel tile
+/// over the `resident` maps of each weight. While several candidates are
+/// live, each access goes to all of them and the search decides at
+/// `SEARCH_SAMPLE`; one live geometry takes a slice at a time.
+fn walk_pass(live: &mut Vec<TagArray>, accesses: &mut u64, resident: &[&[u32]], ic_tiles: usize) {
+    for ic in 0..ic_tiles as u32 {
+        for &inputs in resident {
+            if let [cache] = &mut live[..] {
+                for &input in inputs {
+                    cache.access(input, ic);
+                }
+                *accesses += inputs.len() as u64;
+                continue;
+            }
+            for &input in inputs {
+                for cache in live.iter_mut() {
+                    cache.access(input, ic);
+                }
+                *accesses += 1;
+                if *accesses == SEARCH_SAMPLE {
+                    keep_cheapest(live, *accesses);
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use pointacc_geom::MapEntry;
+    use proptest::prelude::*;
     use std::collections::HashMap;
 
     fn seq_maps(n: usize, k: usize) -> MapTable {
@@ -278,7 +370,7 @@ mod tests {
     /// binary search), a fresh `HashMap` (set → tag) per run, every
     /// candidate on the first `sample` accesses, then the winner fresh
     /// over the whole stream.
-    fn naive_search(
+    pub(crate) fn naive_search(
         candidates: &[CacheConfig],
         maps: &MapTable,
         plan: SparseAccessPlan,
@@ -379,5 +471,109 @@ mod tests {
         assert_eq!((cfg, stats), naive_search(&pair, &maps, plan(), sample));
         assert_eq!(fixed(pair[1], &maps).dram_bytes, stats.dram_bytes);
         assert_eq!(cfg.block_points, 8);
+    }
+
+    #[test]
+    fn skipped_passes_match_the_oracle() {
+        let geometry =
+            |bp| CacheConfig { capacity_bytes: 64 << 10, block_points: bp, row_bytes: 64 };
+        let all = [1, 2, 4, 8, 16, 32, 64, 128].map(geometry);
+        let tiles = |ic_tiles, oc_tiles, out_tile_points| SparseAccessPlan {
+            ic_tiles,
+            oc_tiles,
+            out_tile_points,
+        };
+        // Every output resident at once: a single output tile.
+        let one_tile = 1 << 20;
+        let sample = SEARCH_SAMPLE as usize;
+        // (name, maps, plan, candidates, pass of the single output tile
+        // in which the search decides)
+        let cases = [
+            // 12 000 accesses a pass.
+            ("late", seeded_maps(4, 12_000, 4, |_| 64), tiles(1, 7, one_tile), &all[..], Some(5)),
+            // 60 000 accesses a pass.
+            ("early", seeded_maps(5, 30_000, 6, |_| 16), tiles(2, 3, one_tile), &all, Some(1)),
+            // 17 output tiles of 300 points, 16 passes each.
+            ("tiled", seeded_maps(6, 15_000, 3, |_| 512), tiles(1, 16, 300), &all, None),
+            ("fixed 3", seeded_maps(7, 20_000, 4, |_| 32), tiles(1, 16, 300), &[geometry(3)], None),
+            ("fixed 8", seeded_maps(8, 20_000, 8, |_| 256), tiles(3, 5, 300), &[geometry(8)], None),
+        ];
+        for (name, maps, plan, candidates, decides_in) in cases {
+            let got = simulate_sparse_accesses(candidates, &maps, plan).unwrap();
+            assert_eq!(got, naive_search(candidates, &maps, plan, sample), "{name}");
+            let pass = maps.len() * plan.ic_tiles;
+            assert_eq!(got.1.accesses, (pass * plan.oc_tiles) as u64, "{name}");
+            if let Some(k) = decides_in {
+                assert_eq!((sample - 1) / pass + 1, k, "{name}");
+            }
+        }
+    }
+
+    /// Set counts of every geometry the full and Edge configurations
+    /// give the search: each input-channel tile width, each block size.
+    fn config_set_counts() -> Vec<u64> {
+        let mut counts = Vec::new();
+        for cfg in [crate::PointAccConfig::full(), crate::PointAccConfig::edge()] {
+            for ic_tile in 1..=cfg.pe_rows {
+                for bp in [1, 2, 4, 8, 16, 32, 64, 128] {
+                    let row_bytes = ic_tile * cfg.elem_bytes;
+                    let geometry = CacheConfig {
+                        capacity_bytes: cfg.input_buf_bytes,
+                        block_points: bp,
+                        row_bytes,
+                    };
+                    counts.push(geometry.n_blocks() as u64);
+                }
+            }
+        }
+        counts.sort_unstable();
+        counts.dedup();
+        counts
+    }
+
+    /// `0, 1, max`, a random value, and `k·d − 1, k·d, k·d + 1` for
+    /// `k = 1`, a random `k`, and the largest `k` that fits.
+    fn probe_values(d: u64, max: u64, random: u64, k: u64) -> Vec<u64> {
+        let mut values = vec![0, 1, max, random];
+        for k in [1, k % (max / d).max(1) + 1, max / d] {
+            let m = k.saturating_mul(d).min(max);
+            values.extend([m.wrapping_sub(1), m, m.saturating_add(1).min(max)]);
+        }
+        values
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn reciprocal_probe_matches_division(
+            sets in 1u64..1 << 32,
+            id in 0u64..u64::MAX,
+            block in 1u64..1 << 33,
+            point in 0u32..u32::MAX,
+            k in 0u64..u64::MAX,
+        ) {
+            for d in config_set_counts().into_iter().chain([sets]) {
+                let recip = set_recip(d);
+                for id in probe_values(d, u64::MAX, id, k) {
+                    prop_assert_eq!(rem_set(id, recip, d), id % d, "{} % {}", id, d);
+                }
+            }
+            let blocks = [1, 2, 3, 4, 8, 16, 32, 64, 128, block, block << 31, u64::MAX];
+            for d in blocks {
+                let recip = block_recip(d);
+                for point in probe_values(d, u32::MAX.into(), point.into(), k) {
+                    let point = point as u32;
+                    prop_assert_eq!(div_block(point, recip), u64::from(point) / d, "{} / {}", point, d);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "cache sets")]
+    fn tag_array_rejects_2_pow_32_sets() {
+        TagArray::new(CacheConfig { capacity_bytes: 1 << 32, block_points: 1, row_bytes: 1 });
     }
 }

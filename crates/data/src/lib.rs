@@ -111,11 +111,6 @@ impl Dataset {
             }
         }
     }
-
-    /// Generates a sample with the dataset's default point count.
-    pub fn generate_default(self, seed: u64) -> PointSet {
-        self.generate(seed, self.default_points())
-    }
 }
 
 impl std::fmt::Display for Dataset {

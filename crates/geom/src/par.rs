@@ -8,7 +8,9 @@
 //!
 //! # Pool lifecycle
 //!
-//! The process-wide pool is built lazily on the first parallel call:
+//! The process-wide pool is built on the first parallel call, or earlier
+//! by [`start_pool`] (`pointacc::Accelerator::new` calls it, so that no
+//! replay pays for thread start-up):
 //! [`worker_threads`]` − 1` helper threads are spawned once and parked on
 //! a condvar for the life of the process — steady-state [`parallel_map`]
 //! calls spawn **zero** threads (verified by test via
@@ -327,6 +329,12 @@ impl Drop for Pool {
 fn global_pool() -> &'static Pool {
     static POOL: OnceLock<Pool> = OnceLock::new();
     POOL.get_or_init(|| Pool::new(worker_threads().saturating_sub(1)))
+}
+
+/// Builds the process-wide pool now, unless it is built already, so that
+/// the first parallel round does not pay for thread start-up.
+pub fn start_pool() {
+    global_pool();
 }
 
 /// Runs `f` over `items` on all available cores (override with

@@ -258,12 +258,6 @@ impl LayerTrace {
         reads * self.in_ch as u64 * bytes_per_element as u64
     }
 
-    /// Bytes of output features written at the given precision.
-    pub fn output_feature_bytes(&self, bytes_per_element: usize) -> u64 {
-        let rows = self.pool_group.map_or(self.n_out, |g| self.n_out / g.max(1));
-        rows as u64 * self.out_ch as u64 * bytes_per_element as u64
-    }
-
     /// Weight bytes of the layer at the given precision.
     pub fn weight_bytes(&self, bytes_per_element: usize) -> u64 {
         let n_w = self.maps.as_ref().map_or(1, MapTable::n_weights).max(1) as u64;

@@ -40,11 +40,6 @@ impl EnergyTable {
     pub fn compares(&self, n: u64) -> PicoJoules {
         PicoJoules::new(self.compare_pj * n as f64)
     }
-
-    /// Energy of `n` ALU operations.
-    pub fn alu_ops(&self, n: u64) -> PicoJoules {
-        PicoJoules::new(self.alu_pj * n as f64)
-    }
 }
 
 impl Default for EnergyTable {

@@ -50,11 +50,6 @@ impl SystolicArray {
         self.cols
     }
 
-    /// Total processing elements.
-    pub fn pes(&self) -> usize {
-        self.rows * self.cols
-    }
-
     /// Peak throughput in MACs per cycle.
     pub fn peak_macs_per_cycle(&self) -> u64 {
         (self.rows * self.cols) as u64
