@@ -57,7 +57,7 @@ fn main() {
     let (min, max) = pts.bounds().expect("non-empty dataset");
     let diag = max.sub(min).norm();
     let radius = diag * 0.05;
-    let (cloud, _) = pts.voxelize((diag / 64.0).max(1e-3));
+    let cloud = pts.voxelize((diag / 64.0).max(1e-3));
 
     let mut c = Criterion::default();
     let mut g = c.benchmark_group("mapping");

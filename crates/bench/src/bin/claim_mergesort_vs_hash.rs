@@ -10,7 +10,7 @@ fn main() {
     let ds = dataset_or_exit("SemanticKITTI");
     let n = ((60_000.0 * scale()) as usize).max(1024);
     let pts = ds.generate(42, n);
-    let (cloud, _) = pts.voxelize(0.1);
+    let cloud = pts.voxelize(0.1);
     let n_pts = cloud.len();
 
     let mpu = Mpu::new(64);

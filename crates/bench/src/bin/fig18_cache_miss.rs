@@ -9,13 +9,13 @@ fn main() {
     let ds = dataset_or_exit("SemanticKITTI");
     let n = ((20_000.0 * scale()) as usize).max(512);
     let pts = ds.generate(42, n);
-    let (cloud, _) = pts.voxelize(0.1);
+    let cloud = pts.voxelize(0.1);
     println!("== Fig. 18: cache miss rate ({} voxels) ==\n", cloud.len());
 
     let blocks = [1usize, 2, 4, 8, 16, 32, 64, 128];
     let mut rows = Vec::new();
     for &k in &[2usize, 3] {
-        let output = if k == 2 { cloud.downsample(2).0 } else { cloud.clone() };
+        let output = if k == 2 { cloud.downsample(2) } else { cloud.clone() };
         let maps = golden::kernel_map_hash(&cloud, &output, k);
         for &c in &[64usize, 128] {
             let ic_tiles = c / 64;

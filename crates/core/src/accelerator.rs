@@ -2,13 +2,13 @@
 //! cache block sizes) and replays it through the MPU / MMU / MXU models,
 //! producing a [`RunReport`].
 
-use pointacc_geom::par;
+use pointacc_geom::{par, MapTable};
 use pointacc_nn::{ComputeKind, LayerTrace, NetworkTrace};
 use pointacc_sim::{Cycles, DramChannel, EnergyTable, PicoJoules, SramSpec};
 
 use crate::mmu::{
-    dense_layer_traffic, fused_activation_bytes, plan_fusion, sparse_layer_traffic, CacheConfig,
-    CacheStats, Flow, FusionPlan, SparseAccessPlan,
+    dense_layer_traffic, fused_activation_bytes, plan_fusion, simulate_sparse_accesses,
+    sparse_layer_traffic, CacheConfig, CacheStats, Flow, FusionPlan, SparseAccessPlan,
 };
 use crate::mpu::Mpu;
 use crate::mxu::Mxu;
@@ -48,12 +48,24 @@ impl Default for RunOptions {
 /// Block sizes the compiler considers (paper Fig. 18 sweeps 1–128).
 const BLOCK_CANDIDATES: [usize; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
 
-/// Cache accesses below which `run_with` prices a trace's layers
-/// serially. Measured on a 2-core host: a pool round costs 10–15 µs of
-/// wake-up, and mini MinkowskiUNet replays break even at about 260
-/// walked accesses (32 µs either way) and gain 10–20 % from 1 000 on
-/// (1 040 accesses: 58–91 µs serially, 52–58 µs on the pool).
+/// Cache accesses below which `run_with` walks a trace's caches
+/// serially, counted as one pass of each distinct walk. Measured on a
+/// 2-core host with mini MinkowskiUNet replays on Edge: 768 accesses
+/// take 44 µs serially and 46–48 µs on the pool, and from about 1 000
+/// on the pool wins (1 152 accesses: 87–90 µs serially, 45–84 µs on the
+/// pool).
 const REPLAY_PAR_WORK: u64 = 1 << 10;
+
+/// One layer's walk through the input cache: what
+/// [`simulate_sparse_accesses`] prices. Layers with equal walks price
+/// alike. The derived `==` compares fields in order, so the table is
+/// compared only once the cheap fields match.
+#[derive(PartialEq)]
+struct Walk<'t> {
+    candidates: Vec<CacheConfig>,
+    plan: SparseAccessPlan,
+    maps: &'t MapTable,
+}
 
 /// The accelerator model.
 ///
@@ -112,9 +124,10 @@ impl Accelerator {
 
     /// Runs a trace with explicit options (ablations).
     ///
-    /// Layers are independent once the fusion plan is fixed, so they are
-    /// priced on the [`par`] pool, and the report lists them in trace
-    /// order. A trace whose cache walks are short is priced serially.
+    /// Each distinct cache walk is priced once: layers whose candidates,
+    /// access plan and map table are equal share one walk. The distinct
+    /// walks run on the [`par`] pool, or serially when they are short,
+    /// and then the layers are priced in trace order.
     pub fn run_with(&self, trace: &NetworkTrace, opts: RunOptions) -> RunReport {
         let fusion = if opts.fusion {
             plan_fusion(
@@ -125,13 +138,24 @@ impl Accelerator {
         } else {
             FusionPlan::default()
         };
-        let order: Vec<usize> = (0..trace.layers.len()).collect();
-        let price = |&i: &usize| self.run_layer(i, &trace.layers[i], trace, &fusion, opts);
-        let layers = if self.walk_work(trace, &fusion, opts) < REPLAY_PAR_WORK {
-            order.iter().map(price).collect()
+        let (walks, walk_of) = self.walks(trace, &fusion, opts);
+        let simulate = |w: &Walk<'_>| simulate_sparse_accesses(&w.candidates, w.maps, w.plan);
+        // One pass per output tile: the maps once per input-channel tile.
+        let work: usize = walks.iter().map(|w| w.maps.len() * w.plan.ic_tiles).sum();
+        let walked = if (work as u64) < REPLAY_PAR_WORK {
+            walks.iter().map(simulate).collect()
         } else {
-            par::parallel_map(&order, price)
+            par::parallel_map(&walks, simulate)
         };
+        let layers = trace
+            .layers
+            .iter()
+            .zip(walk_of)
+            .enumerate()
+            .map(|(i, (l, w))| {
+                self.run_layer(i, l, trace, &fusion, opts, w.and_then(|w| walked[w]))
+            })
+            .collect();
         RunReport {
             config: self.cfg.name.clone(),
             network: trace.network.clone(),
@@ -140,21 +164,47 @@ impl Accelerator {
         }
     }
 
-    /// Cache accesses the replay walks: the maps of each unfused layer
-    /// that has a map table, once per input-channel tile, for at most two
-    /// output-channel passes.
-    fn walk_work(&self, trace: &NetworkTrace, fusion: &FusionPlan, opts: RunOptions) -> u64 {
-        if opts.cache == CachePolicy::Off || opts.gather_scatter_flow {
-            return 0;
+    /// The distinct cache walks of `trace`, and for each layer the index
+    /// of its walk, if it takes one.
+    fn walks<'t>(
+        &self,
+        trace: &'t NetworkTrace,
+        fusion: &FusionPlan,
+        opts: RunOptions,
+    ) -> (Vec<Walk<'t>>, Vec<Option<usize>>) {
+        let mut walks: Vec<Walk<'t>> = Vec::new();
+        let walk_of = (trace.layers.iter().enumerate())
+            .map(|(i, layer)| {
+                let walk = self.walk(i, layer, fusion, opts)?;
+                Some(walks.iter().position(|w| *w == walk).unwrap_or_else(|| {
+                    walks.push(walk);
+                    walks.len() - 1
+                }))
+            })
+            .collect();
+        (walks, walk_of)
+    }
+
+    /// The cache walk of layer `index`: an unfused sparse, grouped or
+    /// interpolate layer with a map table, in Fetch-on-Demand flow
+    /// through a cache.
+    fn walk<'t>(
+        &self,
+        index: usize,
+        layer: &'t LayerTrace,
+        fusion: &FusionPlan,
+        opts: RunOptions,
+    ) -> Option<Walk<'t>> {
+        let sparse = matches!(
+            layer.compute,
+            ComputeKind::SparseConv | ComputeKind::Grouped | ComputeKind::Interpolate
+        );
+        if !sparse || opts.gather_scatter_flow || fusion.group_of(index).is_some() {
+            return None;
         }
-        let walk = |(i, l): (usize, &LayerTrace)| match &l.maps {
-            Some(m) if fusion.group_of(i).is_none() => {
-                let plan = self.access_plan(l);
-                (m.len() * plan.ic_tiles * plan.oc_tiles.min(2)) as u64
-            }
-            _ => 0,
-        };
-        trace.layers.iter().enumerate().map(walk).sum()
+        let maps = layer.maps.as_ref()?;
+        let candidates = self.cache_candidates(layer, opts.cache);
+        (!candidates.is_empty()).then(|| Walk { candidates, plan: self.access_plan(layer), maps })
     }
 
     fn run_layer(
@@ -164,10 +214,11 @@ impl Accelerator {
         trace: &NetworkTrace,
         fusion: &FusionPlan,
         opts: RunOptions,
+        walked: Option<(CacheConfig, CacheStats)>,
     ) -> LayerPerf {
         let mpu_cycles = self.mapping_cycles(layer);
         let mxu_cycles = self.mxu.layer_cycles(layer);
-        let (dram_bytes, cache, fused) = self.layer_dram(index, layer, trace, fusion, opts);
+        let (dram_bytes, fused) = self.layer_dram(index, layer, trace, fusion, opts, walked);
 
         let mut channel = DramChannel::new(self.cfg.dram);
         channel.read(dram_bytes);
@@ -208,8 +259,8 @@ impl Accelerator {
             compute_energy,
             sram_energy,
             dram_energy,
-            cache_miss_rate: cache.map(|(_, s)| s.miss_rate()),
-            cache_block_points: cache.map(|(c, _)| c.block_points),
+            cache_miss_rate: walked.map(|(_, s)| s.miss_rate()),
+            cache_block_points: walked.map(|(c, _)| c.block_points),
             fused,
         }
     }
@@ -225,8 +276,8 @@ impl Accelerator {
         Cycles::new(layer.mapping.iter().map(|m| self.mpu.op_cycles(m)).sum())
     }
 
-    /// DRAM bytes of a layer under the chosen options, plus the simulated
-    /// cache (geometry and statistics) and fusion membership.
+    /// DRAM bytes of a layer under the chosen options, given the layer's
+    /// cache walk, and its fusion membership.
     fn layer_dram(
         &self,
         index: usize,
@@ -234,7 +285,8 @@ impl Accelerator {
         trace: &NetworkTrace,
         fusion: &FusionPlan,
         opts: RunOptions,
-    ) -> (u64, Option<(CacheConfig, CacheStats)>, bool) {
+        walked: Option<(CacheConfig, CacheStats)>,
+    ) -> (u64, bool) {
         // Fusion-group members (dense FCs, grouped shared-MLP layers and
         // inline pools) keep their activations on the MIR stack; only the
         // group head touches DRAM for activations.
@@ -247,48 +299,33 @@ impl Accelerator {
                 }
                 _ => 0,
             };
-            return (weights + act, None, true);
+            return (weights + act, true);
         }
-        match layer.compute {
+        let bytes = match layer.compute {
             // Map-less "sparse" layers (e.g. the broadcast interpolation
             // after a global set abstraction) stream like dense layers.
             ComputeKind::SparseConv | ComputeKind::Grouped | ComputeKind::Interpolate
                 if layer.maps.is_none() =>
             {
                 let e = self.cfg.elem_bytes as u64;
-                let bytes = layer.n_in as u64 * layer.in_ch as u64 * e
-                    + layer.n_out as u64 * layer.out_ch as u64 * e;
-                (bytes, None, false)
+                layer.n_in as u64 * layer.in_ch as u64 * e
+                    + layer.n_out as u64 * layer.out_ch as u64 * e
             }
             ComputeKind::SparseConv | ComputeKind::Grouped | ComputeKind::Interpolate => {
-                let plan = self.access_plan(layer);
-                if opts.gather_scatter_flow {
-                    let (t, _) = sparse_layer_traffic(
-                        Flow::GatherMatMulScatter,
-                        layer,
-                        plan,
-                        self.cfg.elem_bytes,
-                    );
-                    return (t.total(), None, false);
-                }
-                let candidates = self.cache_candidates(layer, opts.cache);
-                let (t, cache) = sparse_layer_traffic(
-                    Flow::FetchOnDemand { cache: &candidates },
-                    layer,
-                    plan,
-                    self.cfg.elem_bytes,
-                );
-                (t.total(), cache, false)
+                let flow = if opts.gather_scatter_flow {
+                    Flow::GatherMatMulScatter
+                } else {
+                    Flow::FetchOnDemand { cache: walked.map(|(_, stats)| stats) }
+                };
+                sparse_layer_traffic(flow, layer, self.cfg.elem_bytes).total()
             }
-            ComputeKind::Dense => {
-                let t = dense_layer_traffic(layer, self.cfg.elem_bytes);
-                (t.total(), None, false)
-            }
+            ComputeKind::Dense => dense_layer_traffic(layer, self.cfg.elem_bytes).total(),
             // Pooling reduces in the output datapath; its inputs are the
             // previous layer's outputs, already on chip (output
             // stationary).
-            ComputeKind::Pool => (0, None, false),
-        }
+            ComputeKind::Pool => 0,
+        };
+        (bytes, false)
     }
 
     fn access_plan(&self, layer: &LayerTrace) -> SparseAccessPlan {
@@ -345,8 +382,8 @@ impl Accelerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pointacc_geom::{Point3, PointSet};
-    use pointacc_nn::{zoo, ExecMode, Executor};
+    use pointacc_geom::{MapEntry, Point3, PointSet};
+    use pointacc_nn::{zoo, Aggregation, ExecMode, Executor};
 
     fn trace(n: usize) -> NetworkTrace {
         let pts: PointSet = (0..n)
@@ -469,6 +506,75 @@ mod tests {
         for tiles in [1..=1, 2..=2, 3..=usize::MAX] {
             assert!(oc_tiles.iter().any(|n| tiles.contains(n)), "no layer with {tiles:?} tiles");
         }
+    }
+
+    /// `n_out` outputs, each reading three seeded inputs below `n_in`.
+    fn seeded_table(seed: u64, n_in: u64, n_out: u32) -> MapTable {
+        let mut x = seed;
+        let entries = (0..n_out * 3)
+            .map(|i| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                MapEntry::new((x % n_in) as u32, i / 3, (i % 3) as u16)
+            })
+            .collect();
+        MapTable::from_entries(entries, 3)
+    }
+
+    #[test]
+    fn layers_share_a_walk_only_when_candidates_plan_and_table_are_equal() {
+        use crate::mmu::cache::{tests::naive_search, SEARCH_SAMPLE};
+        let (n_in, n_out) = (50_000, 20_000);
+        let conv = |name: &str, in_ch, maps| LayerTrace {
+            name: name.into(),
+            compute: ComputeKind::SparseConv,
+            n_in: n_in as usize,
+            n_out: n_out as usize,
+            in_ch,
+            out_ch: 32,
+            maps: Some(maps),
+            mapping: vec![],
+            aggregation: Aggregation::Sum,
+            pool_group: None,
+            fusable: false,
+        };
+        let table = seeded_table(1, n_in, n_out);
+        let other = seeded_table(2, n_in, n_out);
+        assert_eq!(table.len(), other.len());
+        let trace = NetworkTrace {
+            network: "walks".into(),
+            input_desc: String::new(),
+            layers: vec![
+                conv("table", 32, table.clone()),
+                conv("cloned table", 32, table.clone()),
+                // On the full config one input-channel tile holds 4 or
+                // 32 channels alike: the plans are equal, the cache rows
+                // (and so the candidates) are not.
+                conv("narrow rows", 4, table),
+                conv("other table", 32, other),
+            ],
+        };
+        let acc = Accelerator::new(PointAccConfig::full());
+        let opts = RunOptions::default();
+        let layers = &trace.layers;
+        assert_eq!(acc.access_plan(&layers[2]), acc.access_plan(&layers[0]));
+        let (walks, walk_of) = acc.walks(&trace, &FusionPlan::default(), opts);
+        assert_eq!(walk_of, [Some(0), Some(0), Some(1), Some(2)]);
+        assert_eq!(walks.len(), 3);
+        let report = acc.run_with(&trace, opts);
+        let mut oracles = Vec::new();
+        for (l, got) in layers.iter().zip(&report.layers) {
+            let candidates = acc.cache_candidates(l, opts.cache);
+            let (maps, plan) = (l.maps.as_ref().unwrap(), acc.access_plan(l));
+            let (cfg, stats) = naive_search(&candidates, maps, plan, SEARCH_SAMPLE as usize);
+            let want = (Some(cfg.block_points), Some(stats.miss_rate()));
+            assert_eq!((got.cache_block_points, got.cache_miss_rate), want, "{}", l.name);
+            oracles.push(want);
+        }
+        // Separate walks price differently, so a wrongly shared one shows.
+        assert_ne!(oracles[2], oracles[0]);
+        assert_ne!(oracles[3], oracles[0]);
     }
 
     #[test]

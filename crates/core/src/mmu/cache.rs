@@ -8,17 +8,31 @@
 //! stream; [`simulate_sparse_accesses`] makes that choice and prices the
 //! whole stream in one walk of the loop nest.
 //!
-//! The walk is bit-exact but need not visit every access. The loop nest
-//! replays an output tile's input stream once per output-channel tile,
-//! and a direct-mapped set holds the last block mapped to it. After any
-//! complete pass, each set the pass touches therefore holds that pass's
-//! last id for the set, whatever it held before: the state after pass 1
-//! is a fixed point, and every later pass misses exactly as pass 2 does.
-//! Once the block-size search is down to one live geometry, the walk
-//! takes the next pass of the tile and multiplies its misses and
-//! accesses over the tile's remaining passes. So it walks two passes per
-//! output tile, plus those the search walks while it compares
-//! candidates.
+//! The walk is bit-exact but need not visit every access, nor probe
+//! every access it visits:
+//!
+//! - **Per-set identity.** The loop nest replays an output tile's input
+//!   stream once per output-channel tile, and a direct-mapped set holds
+//!   the last block mapped to it. So each set sees the same sequence of
+//!   ids in every pass of a tile, and only the first access of the
+//!   sequence depends on what the set held before the pass. A pass
+//!   misses once for each set whose first access finds another id, plus
+//!   the misses after each set's first access, and it leaves every set
+//!   it touches holding that set's last id. Once one geometry is live
+//!   and a tile has two or more passes left, the walk takes one pass
+//!   recording each set's first id and whether that first access missed.
+//!   Every later pass of the tile then misses `pass misses − first-access
+//!   misses + sets whose first and last ids differ`, since it starts with
+//!   each touched set holding the recorded pass's last id. This is the
+//!   one-pass idea of stack-based cache evaluation (Mattson et al.,
+//!   "Evaluation techniques for storage hierarchies", IBM Systems Journal
+//!   1970): later runs follow from one run's per-set state. So the walk
+//!   takes one pass per output tile, plus those the search walks while
+//!   it compares candidates.
+//! - **Repeat-block rule.** An access to the block of the access just
+//!   before it, in the same geometry and input-channel tile, hits: that
+//!   access left the block resident and nothing came between. The walk
+//!   counts it as a hit without a probe.
 
 use pointacc_geom::MapTable;
 
@@ -109,11 +123,13 @@ fn rem_set(id: u64, recip: u128, sets: u64) -> u64 {
 /// remainder by direct computation", SPE 2019): with `c = ceil(2^F/d)`,
 /// `n / d` is the high part of `c·n`, and `n % d` the high part of
 /// `(c·n mod 2^F)·d`, both exact for every `n < 2^N` when
-/// `F ≥ N + log2 d`.
+/// `F ≥ N + log2 d`. A power-of-two block below `2^32` points, which
+/// every block the search considers is, divides by shifting instead.
 struct TagArray {
     cfg: CacheConfig,
     tags: Vec<u64>,
     misses: u64,
+    block_shift: Option<u32>,
     block_recip: u128,
     set_recip: u128,
 }
@@ -123,33 +139,90 @@ impl TagArray {
         assert!(cfg.block_bytes() > 0, "cache block must be nonzero");
         let sets = cfg.n_blocks() as u64;
         assert!(sets < 1 << 32, "{sets} cache sets: the set remainder needs fewer than 2^32");
+        let block_points = cfg.block_points as u64;
         TagArray {
             cfg,
             tags: vec![0; sets as usize],
             misses: 0,
-            block_recip: block_recip(cfg.block_points as u64),
+            block_shift: (block_points.is_power_of_two() && block_points < 1 << 32)
+                .then(|| block_points.trailing_zeros()),
+            block_recip: block_recip(block_points),
             set_recip: set_recip(sets),
         }
     }
 
-    /// Accesses the features of input point `point` in channel-tile
-    /// `ic_tile`; returns `true` on hit. A miss loads the block.
-    fn access(&mut self, point: u32, ic_tile: u32) -> bool {
-        let block = div_block(point, self.block_recip);
-        // Tag = (point block, channel tile); mixing the tile into the id
-        // spreads tiles across sets.
-        let id = block.wrapping_mul(0x9E37_79B9).wrapping_add((ic_tile as u64) << 1) | 1;
-        let set = rem_set(id, self.set_recip, self.tags.len() as u64) as usize;
-        let hit = self.tags[set] == id;
-        if !hit {
-            self.tags[set] = id;
-            self.misses += 1;
+    /// Accesses the features of each input point of `inputs`, in order,
+    /// in channel tile `ic_tile`. A miss loads the block. Every probe
+    /// reports `(set, id, hit)` to `probed`; an access to the block of
+    /// the access before it is a hit without a probe.
+    fn walk(&mut self, inputs: &[u32], ic_tile: u32, mut probed: impl FnMut(usize, u64, bool)) {
+        let (block_shift, block_recip) = (self.block_shift, self.block_recip);
+        let set_recip = self.set_recip;
+        let tags = &mut self.tags[..];
+        let sets = tags.len() as u64;
+        let mut misses = 0;
+        // No block: a block index is at most `u32::MAX`.
+        let mut last = u64::MAX;
+        for &point in inputs {
+            let block = match block_shift {
+                Some(shift) => u64::from(point >> shift),
+                None => div_block(point, block_recip),
+            };
+            if block == last {
+                continue;
+            }
+            last = block;
+            // Tag = (point block, channel tile); mixing the tile into the
+            // id spreads tiles across sets.
+            let id = block.wrapping_mul(0x9E37_79B9).wrapping_add(u64::from(ic_tile) << 1) | 1;
+            let set = rem_set(id, set_recip, sets) as usize;
+            let hit = tags[set] == id;
+            probed(set, id, hit);
+            // A hit stores the id the set already holds: no branch.
+            tags[set] = id;
+            misses += u64::from(!hit);
         }
-        hit
+        self.misses += misses;
     }
 
     fn dram_bytes(&self) -> u64 {
         self.misses * self.cfg.block_bytes() as u64
+    }
+}
+
+/// Each set's first access in one recorded output-channel pass.
+struct PassRecord {
+    /// The pass's first id in each set; 0 for a set it has not touched.
+    first: Vec<u64>,
+    /// The sets the pass has touched.
+    touched: Vec<u32>,
+    /// Touched sets whose first access missed.
+    first_misses: u64,
+}
+
+impl PassRecord {
+    fn new(sets: usize) -> Self {
+        PassRecord { first: vec![0; sets], touched: Vec::new(), first_misses: 0 }
+    }
+
+    fn probed(&mut self, set: usize, id: u64, hit: bool) {
+        if self.first[set] == 0 {
+            self.first[set] = id;
+            self.touched.push(set as u32);
+            self.first_misses += u64::from(!hit);
+        }
+    }
+
+    /// The misses of every later pass, given the recorded pass's
+    /// `misses` and the `tags` it left; clears the record.
+    fn later_pass_misses(&mut self, misses: u64, tags: &[u64]) -> u64 {
+        let mut changed = 0;
+        for set in self.touched.drain(..) {
+            let set = set as usize;
+            changed += u64::from(self.first[set] != tags[set]);
+            self.first[set] = 0;
+        }
+        misses - std::mem::take(&mut self.first_misses) + changed
     }
 }
 
@@ -164,7 +237,7 @@ fn keep_cheapest(live: &mut Vec<TagArray>, accesses: u64) {
 }
 
 /// Loop-nest description of one sparse layer's input accesses.
-#[derive(Copy, Clone, Debug)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct SparseAccessPlan {
     /// Input-channel tiles (`ceil(in_ch / pe_rows)`).
     pub ic_tiles: usize,
@@ -190,12 +263,10 @@ pub struct SparseAccessPlan {
 /// Loop nest (paper §4.2.2): output-stationary outer over output tiles
 /// and output-channel tiles; weight-stationary inner over kernel offsets
 /// and the maps of the resident outputs; input channels tiled innermost.
-/// Every output-channel pass of a tile reads the same stream, and after
-/// one complete pass each set the stream touches holds the pass's last
-/// id for that set, so all later passes miss alike. Once one geometry is
-/// live and a pass of the tile is complete, the next pass is walked and
-/// its misses and accesses count for each of the tile's remaining
-/// passes too.
+/// Every output-channel pass of a tile reads the same stream. Once one
+/// geometry is live and the tile has two or more passes left, one pass
+/// is walked with each set's first access recorded, and the tile's
+/// later passes are priced from that record (see the module docs).
 ///
 /// # Panics
 ///
@@ -215,11 +286,12 @@ pub fn simulate_sparse_accesses(
     let tile_pts = plan.out_tile_points.max(1);
     let n_tiles = n_out.div_ceil(tile_pts).max(1);
     let mut resident: Vec<&[u32]> = Vec::with_capacity(maps.n_weights());
+    let mut record = None;
     for t in 0..n_tiles {
         let lo = (t * tile_pts) as u32;
         let hi = ((t + 1) * tile_pts) as u32;
-        // Maps are emitted in ascending output order, so each weight's
-        // resident maps are a contiguous slice.
+        // Outputs ascend within each weight group (`verify_trace` checks
+        // it), so each weight's resident maps are a contiguous slice.
         resident.clear();
         resident.extend((0..maps.n_weights()).map(|w| {
             let group = maps.group(w);
@@ -228,12 +300,19 @@ pub fn simulate_sparse_accesses(
             &group.inputs()[start..end]
         }));
         for oc in 0..plan.oc_tiles {
-            if oc > 0 && live.len() == 1 {
-                let (misses, walked) = (live[0].misses, accesses);
-                walk_pass(&mut live, &mut accesses, &resident, plan.ic_tiles);
-                let rest = (plan.oc_tiles - oc - 1) as u64;
-                live[0].misses += rest * (live[0].misses - misses);
-                accesses += rest * (accesses - walked);
+            let passes = (plan.oc_tiles - oc) as u64;
+            if let ([cache], 2..) = (&mut live[..], passes) {
+                let record = record.get_or_insert_with(|| PassRecord::new(cache.tags.len()));
+                let before = cache.misses;
+                for ic in 0..plan.ic_tiles as u32 {
+                    for &inputs in &resident {
+                        cache.walk(inputs, ic, |set, id, hit| record.probed(set, id, hit));
+                    }
+                }
+                let later = record.later_pass_misses(cache.misses - before, &cache.tags);
+                cache.misses += (passes - 1) * later;
+                let pass: usize = resident.iter().map(|inputs| inputs.len()).sum();
+                accesses += passes * (pass * plan.ic_tiles) as u64;
                 break;
             }
             walk_pass(&mut live, &mut accesses, &resident, plan.ic_tiles);
@@ -252,26 +331,27 @@ pub fn simulate_sparse_accesses(
 
 /// One output-channel pass over an output tile: every input-channel tile
 /// over the `resident` maps of each weight. While several candidates are
-/// live, each access goes to all of them and the search decides at
-/// `SEARCH_SAMPLE`; one live geometry takes a slice at a time.
+/// live, each walks a slice in turn up to `SEARCH_SAMPLE` accesses,
+/// where the search decides; the one live geometry walks the rest.
 fn walk_pass(live: &mut Vec<TagArray>, accesses: &mut u64, resident: &[&[u32]], ic_tiles: usize) {
     for ic in 0..ic_tiles as u32 {
         for &inputs in resident {
-            if let [cache] = &mut live[..] {
-                for &input in inputs {
-                    cache.access(input, ic);
-                }
-                *accesses += inputs.len() as u64;
-                continue;
-            }
-            for &input in inputs {
+            let mut rest = inputs;
+            if live.len() > 1 {
+                let sample;
+                (sample, rest) =
+                    inputs.split_at(inputs.len().min((SEARCH_SAMPLE - *accesses) as usize));
                 for cache in live.iter_mut() {
-                    cache.access(input, ic);
+                    cache.walk(sample, ic, |_, _, _| ());
                 }
-                *accesses += 1;
+                *accesses += sample.len() as u64;
                 if *accesses == SEARCH_SAMPLE {
                     keep_cheapest(live, *accesses);
                 }
+            }
+            if let [cache] = &mut live[..] {
+                cache.walk(rest, ic, |_, _, _| ());
+                *accesses += rest.len() as u64;
             }
         }
     }
@@ -310,10 +390,15 @@ pub(crate) mod tests {
         let cfg = CacheConfig { capacity_bytes: 4 * 64, block_points: 1, row_bytes: 64 };
         let mut c = TagArray::new(cfg);
         assert_eq!(c.tags.len(), 4);
-        assert!(!c.access(0, 0)); // cold miss
-        assert!(c.access(0, 0)); // hit
-        assert!(!c.access(4, 0)); // conflict: both ids land in set 1 of 4
-        assert!(!c.access(0, 0)); // evicted by point 4
+        let mut probes = Vec::new();
+        // Cold miss, a repeat of the same block (a hit without a probe),
+        // a conflict (both ids land in set 1 of 4), then point 0 again:
+        // evicted by point 4.
+        c.walk(&[0, 0, 4, 0], 0, |set, _, hit| probes.push((set, hit)));
+        assert_eq!(probes, [(1, false), (1, false), (1, false)]);
+        // A new slice probes its first access: point 0 is resident.
+        c.walk(&[0], 0, |set, _, hit| probes.push((set, hit)));
+        assert_eq!(probes[3..], [(1, true)]);
         assert_eq!(c.misses, 3);
     }
 
@@ -497,6 +582,11 @@ pub(crate) mod tests {
             ("tiled", seeded_maps(6, 15_000, 3, |_| 512), tiles(1, 16, 300), &all, None),
             ("fixed 3", seeded_maps(7, 20_000, 4, |_| 32), tiles(1, 16, 300), &[geometry(3)], None),
             ("fixed 8", seeded_maps(8, 20_000, 8, |_| 256), tiles(3, 5, 300), &[geometry(8)], None),
+            ("late, 16", seeded_maps(9, 12_000, 4, |_| 64), tiles(1, 16, one_tile), &all, Some(5)),
+            // The search decides in some tile; later tiles record pass 1
+            // of 2.
+            ("tiled, 2", seeded_maps(10, 30_000, 4, |_| 64), tiles(1, 2, 300), &all, None),
+            ("fixed 5", seeded_maps(11, 20_000, 4, |_| 32), tiles(2, 2, 300), &[geometry(5)], None),
         ];
         for (name, maps, plan, candidates, decides_in) in cases {
             let got = simulate_sparse_accesses(candidates, &maps, plan).unwrap();
@@ -505,6 +595,73 @@ pub(crate) mod tests {
             assert_eq!(got.1.accesses, (pass * plan.oc_tiles) as u64, "{name}");
             if let Some(k) = decides_in {
                 assert_eq!((sample - 1) / pass + 1, k, "{name}");
+            }
+        }
+    }
+
+    /// One weight group that reads `inputs` in order, map `q` into
+    /// output `q`.
+    fn stream(inputs: &[u32]) -> MapTable {
+        let entries =
+            (inputs.iter().enumerate()).map(|(q, &p)| MapEntry::new(p, q as u32, 0)).collect();
+        MapTable::from_entries(entries, 1)
+    }
+
+    /// A four-set geometry, so that blocks conflict.
+    fn four_sets(block_points: usize) -> CacheConfig {
+        CacheConfig { capacity_bytes: 4 * 64 * block_points, block_points, row_bytes: 64 }
+    }
+
+    #[test]
+    fn repeat_block_hits_match_the_oracle() {
+        let inside = [0, 1, 2, 0, 1, 2, 2, 1, 0];
+        let across: Vec<u32> = (1..20).collect();
+        let descending: Vec<u32> = (0..20).rev().collect();
+        let repeated = [4, 4, 4, 5, 5, 9, 9, 4, 4, 13, 13, 4];
+        let streams: [(&str, &[u32]); 4] = [
+            ("inside one block", &inside),
+            ("across block edges", &across),
+            ("descending", &descending),
+            ("repeated", &repeated),
+        ];
+        let sample = SEARCH_SAMPLE as usize;
+        for (name, inputs) in streams {
+            let maps = stream(inputs);
+            // 1 000: a block larger than every point.
+            for block_points in [3, 5, 1_000] {
+                for (ic_tiles, oc_tiles) in [(1, 1), (2, 3)] {
+                    let plan = SparseAccessPlan { ic_tiles, oc_tiles, out_tile_points: 8 };
+                    let cfg = [four_sets(block_points)];
+                    let got = simulate_sparse_accesses(&cfg, &maps, plan).unwrap();
+                    let want = naive_search(&cfg, &maps, plan, sample);
+                    assert_eq!(got, want, "{name}, block {block_points}, {plan:?}");
+                }
+            }
+        }
+        // The rule fires: points 1–19 in blocks of 3 probe once per block.
+        let mut probes = 0;
+        TagArray::new(four_sets(3)).walk(&across, 0, |_, _, _| probes += 1);
+        assert_eq!(probes, 7);
+    }
+
+    #[test]
+    fn recorded_pass_matches_the_oracle() {
+        // Points 0 and 4 share set 1 of 4 at block 1. The third case has
+        // two output tiles: the first leaves point 0 resident, so the
+        // second tile's recorded pass starts with a hit.
+        let cases = [
+            ("first equals last", stream(&[0, 4, 0]), 8, [5, 33]),
+            ("first differs from last", stream(&[0, 4]), 8, [4, 32]),
+            ("first access hit", stream(&[4, 0, 0, 4]), 2, [7, 63]),
+        ];
+        for (name, maps, out_tile_points, misses) in cases {
+            for (oc_tiles, misses) in [2, 16].into_iter().zip(misses) {
+                let plan = SparseAccessPlan { ic_tiles: 1, oc_tiles, out_tile_points };
+                let cfg = [four_sets(1)];
+                let got = simulate_sparse_accesses(&cfg, &maps, plan).unwrap();
+                let want = naive_search(&cfg, &maps, plan, SEARCH_SAMPLE as usize);
+                assert_eq!(got, want, "{name}, {oc_tiles} passes");
+                assert_eq!(got.1.misses, misses, "{name}, {oc_tiles} passes");
             }
         }
     }

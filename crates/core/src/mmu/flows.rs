@@ -12,7 +12,7 @@
 
 use pointacc_nn::{ComputeKind, LayerTrace};
 
-use super::cache::{simulate_sparse_accesses, CacheConfig, CacheStats, SparseAccessPlan};
+use super::cache::CacheStats;
 
 /// DRAM traffic of one layer, split by stream.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -37,30 +37,25 @@ impl LayerTraffic {
 
 /// Computation flow selector.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Flow<'a> {
+pub enum Flow {
     /// PointAcc's streaming flow through the configurable input cache.
     FetchOnDemand {
-        /// Geometries for [`simulate_sparse_accesses`] to choose from
+        /// The layer's walk through the input cache, from
+        /// [`simulate_sparse_accesses`](super::simulate_sparse_accesses)
         /// (none = pure streaming, every map fetches its row).
-        cache: &'a [CacheConfig],
+        cache: Option<CacheStats>,
     },
     /// The GPU-style flow with explicit gather and scatter in DRAM.
     GatherMatMulScatter,
 }
 
 /// Computes the DRAM traffic of one sparse / grouped / interpolate layer
-/// under `flow`. Returns the traffic plus, when a cache was simulated,
-/// the geometry it used and its statistics.
+/// under `flow`.
 ///
 /// # Panics
 ///
 /// Panics if the layer carries no map table.
-pub fn sparse_layer_traffic(
-    flow: Flow<'_>,
-    layer: &LayerTrace,
-    plan: SparseAccessPlan,
-    elem_bytes: usize,
-) -> (LayerTraffic, Option<(CacheConfig, CacheStats)>) {
+pub fn sparse_layer_traffic(flow: Flow, layer: &LayerTrace, elem_bytes: usize) -> LayerTraffic {
     let maps = layer.maps.as_ref().expect("sparse layer traffic requires a map table");
     let n_maps = maps.len() as u64;
     let e = elem_bytes as u64;
@@ -71,11 +66,10 @@ pub fn sparse_layer_traffic(
     let output_write = out_rows * oc * e;
     match flow {
         Flow::FetchOnDemand { cache } => {
-            let cached = simulate_sparse_accesses(cache, maps, plan);
             // Without a cache every map fetches its input row; with one,
             // the simulated block loads are the input reads.
-            let input_read = cached.map_or(n_maps * ic * e, |(_, stats)| stats.dram_bytes);
-            (LayerTraffic { input_read, weight_read, output_write, intermediate: 0 }, cached)
+            let input_read = cache.map_or(n_maps * ic * e, |stats| stats.dram_bytes);
+            LayerTraffic { input_read, weight_read, output_write, intermediate: 0 }
         }
         Flow::GatherMatMulScatter => {
             // gather: read rows + write contiguous matrix; matmul: read
@@ -84,13 +78,12 @@ pub fn sparse_layer_traffic(
             let gather = n_maps * ic * e * 2;
             let matmul = n_maps * ic * e + n_maps * oc * e;
             let scatter = n_maps * oc * e;
-            let traffic = LayerTraffic {
+            LayerTraffic {
                 input_read: n_maps * ic * e,
                 weight_read,
                 output_write,
                 intermediate: gather + matmul + scatter - n_maps * ic * e,
-            };
-            (traffic, None)
+            }
         }
     }
 }
@@ -112,6 +105,7 @@ pub fn dense_layer_traffic(layer: &LayerTrace, elem_bytes: usize) -> LayerTraffi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mmu::{simulate_sparse_accesses, CacheConfig, SparseAccessPlan};
     use pointacc_geom::{MapEntry, MapTable};
     use pointacc_nn::{Aggregation, ComputeKind};
 
@@ -137,16 +131,12 @@ mod tests {
         }
     }
 
-    fn plan() -> SparseAccessPlan {
-        SparseAccessPlan { ic_tiles: 1, oc_tiles: 1, out_tile_points: 128 }
-    }
-
     #[test]
     fn fetch_on_demand_beats_gather_scatter() {
         // Paper §4.2.3: FoD saves input-feature DRAM access by ≥ 3×.
         let l = layer(2048, 8, 64);
-        let (fod, _) = sparse_layer_traffic(Flow::FetchOnDemand { cache: &[] }, &l, plan(), 2);
-        let (gms, _) = sparse_layer_traffic(Flow::GatherMatMulScatter, &l, plan(), 2);
+        let fod = sparse_layer_traffic(Flow::FetchOnDemand { cache: None }, &l, 2);
+        let gms = sparse_layer_traffic(Flow::GatherMatMulScatter, &l, 2);
         assert!(
             gms.total() as f64 / fod.total() as f64 >= 2.5,
             "GMS {} should dwarf FoD {}",
@@ -162,13 +152,14 @@ mod tests {
         // Paper Fig. 19: the configurable cache reduces per-layer DRAM
         // access 3.5–6.3×.
         let l = layer(2048, 8, 64);
-        let (nocache, _) = sparse_layer_traffic(Flow::FetchOnDemand { cache: &[] }, &l, plan(), 2);
+        let nocache = sparse_layer_traffic(Flow::FetchOnDemand { cache: None }, &l, 2);
         let cfg = CacheConfig { capacity_bytes: 256 * 1024, block_points: 16, row_bytes: 128 };
-        let (cached, stats) =
-            sparse_layer_traffic(Flow::FetchOnDemand { cache: &[cfg] }, &l, plan(), 2);
+        let plan = SparseAccessPlan { ic_tiles: 1, oc_tiles: 1, out_tile_points: 128 };
+        let (_, stats) = simulate_sparse_accesses(&[cfg], l.maps.as_ref().unwrap(), plan).unwrap();
+        let cached = sparse_layer_traffic(Flow::FetchOnDemand { cache: Some(stats) }, &l, 2);
         let ratio = nocache.input_read as f64 / cached.input_read as f64;
         assert!(ratio > 2.0, "cache should cut input reads, got {ratio}×");
-        assert!(stats.unwrap().1.miss_rate() < 0.5);
+        assert!(stats.miss_rate() < 0.5);
     }
 
     #[test]

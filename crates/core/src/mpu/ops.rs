@@ -430,7 +430,7 @@ mod tests {
         let mpu = Mpu::new(8);
         let input = pseudo_cloud(100, 3, 1);
         let (output, qstats) = mpu.quantize(&input, 2);
-        let (want_out, _) = input.downsample(2);
+        let want_out = input.downsample(2);
         assert_eq!(output, want_out);
         assert!(qstats.cycles > 0);
         let maps_golden = golden::kernel_map_hash(&input, &output, 2);

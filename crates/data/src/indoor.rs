@@ -118,7 +118,7 @@ mod tests {
     fn room_is_sparse_when_voxelized() {
         let mut rng = StdRng::seed_from_u64(5);
         let room = generate_room(&mut rng, 20_000);
-        let (vc, _) = room.voxelize(0.05);
+        let vc = room.voxelize(0.05);
         // Indoor scenes are shell-like: orders of magnitude below a dense
         // volume (paper Fig. 5 reports < 1e-2 at the full-room point
         // count; a 20k sample at 5 cm voxels sits slightly above).

@@ -428,7 +428,7 @@ mod tests {
     fn scan_is_ultra_sparse() {
         let mut rng = StdRng::seed_from_u64(21);
         let scan = generate_scan(&mut rng, 30_000, ScanProfile::semantic_kitti());
-        let (vc, _) = scan.voxelize(0.1);
+        let vc = scan.voxelize(0.1);
         // Outdoor scenes reach < 1e-3 density even at coarse voxels.
         assert!(vc.density() < 1e-2, "outdoor scan too dense: {}", vc.density());
         // Extent should span tens of meters.

@@ -149,7 +149,7 @@ mod tests {
         // a solid would, but more than a degenerate point.
         let mut rng = StdRng::seed_from_u64(9);
         let obj = generate_object(&mut rng, 4096, true);
-        let (vc, _) = obj.voxelize(0.05);
+        let vc = obj.voxelize(0.05);
         let occupancy = vc.len() as f64;
         assert!(occupancy > 100.0, "object collapsed: {occupancy}");
         assert!(vc.density() < 0.5, "object too dense: {}", vc.density());

@@ -19,7 +19,7 @@ pub struct DensityProfile {
 
 /// Profiles a sample at the dataset's native voxel size.
 pub fn profile(dataset: Dataset, sample: &PointSet) -> DensityProfile {
-    let (vc, _) = sample.voxelize(dataset.voxel_size());
+    let vc = sample.voxelize(dataset.voxel_size());
     DensityProfile {
         name: dataset.name().to_string(),
         n_points: sample.len(),

@@ -77,20 +77,10 @@ impl PointSet {
         Some((min, max))
     }
 
-    /// Voxelizes into a [`VoxelCloud`] at `voxel_size`, also returning for
-    /// every input point the index of the voxel it landed in. Duplicate
-    /// voxels are merged (the standard sparse-tensor construction).
-    pub fn voxelize(&self, voxel_size: f32) -> (VoxelCloud, Vec<u32>) {
-        let coords: Vec<Coord> = self.points.iter().map(|p| p.voxelize(voxel_size)).collect();
-        let cloud = VoxelCloud::from_unsorted(coords.clone(), 1);
-        let idx = coords
-            .iter()
-            .map(|c| {
-                cloud.index_of(*c).expect("voxelized coordinate must be present in its own cloud")
-                    as u32
-            })
-            .collect();
-        (cloud, idx)
+    /// Voxelizes into a [`VoxelCloud`] at `voxel_size`. Duplicate voxels
+    /// are merged (the standard sparse-tensor construction).
+    pub fn voxelize(&self, voxel_size: f32) -> VoxelCloud {
+        VoxelCloud::from_unsorted(self.points.iter().map(|p| p.voxelize(voxel_size)).collect(), 1)
     }
 }
 
@@ -194,30 +184,20 @@ impl VoxelCloud {
 
     /// Constructs the downsampled output cloud by coordinate quantization
     /// (paper §2.1.1): every coordinate is floored to the new stride
-    /// `self.stride() * factor` and duplicates are merged. Also returns,
-    /// for each input point, the index of the output point it quantizes to
-    /// (the stride-`factor` pooling map).
+    /// `self.stride() * factor` and duplicates are merged.
     ///
     /// # Panics
     ///
     /// Panics if `factor <= 0`.
-    pub fn downsample(&self, factor: i32) -> (VoxelCloud, Vec<u32>) {
+    pub fn downsample(&self, factor: i32) -> VoxelCloud {
         assert!(factor > 0, "downsample factor must be positive, got {factor}");
         let new_stride = self.stride * factor;
         // Quantization is monotone per component but NOT in the
         // lexicographic order, so the quantized sequence must be re-sorted
         // before de-duplication — which is why the hardware routes the
         // quantized cloud through the mapping unit's sorter.
-        let quantized: Vec<Coord> = self.coords.iter().map(|c| c.quantize(new_stride)).collect();
-        let cloud = VoxelCloud::from_unsorted(quantized.clone(), new_stride);
-        let idx = quantized
-            .iter()
-            .map(|c| {
-                cloud.index_of(*c).expect("quantized coordinate must be in the downsampled cloud")
-                    as u32
-            })
-            .collect();
-        (cloud, idx)
+        let quantized = self.coords.iter().map(|c| c.quantize(new_stride)).collect();
+        VoxelCloud::from_unsorted(quantized, new_stride)
     }
 
     /// Returns the occupancy density of the cloud inside its bounding box
@@ -270,17 +250,19 @@ mod tests {
     #[test]
     fn downsample_merges_cells() {
         let vc = cloud(&[(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3)]);
-        let (ds, idx) = vc.downsample(2);
+        let ds = vc.downsample(2);
         assert_eq!(ds.len(), 2);
         assert_eq!(ds.stride(), 2);
         assert_eq!(ds.coords(), &[Coord::new(0, 0, 0), Coord::new(2, 2, 2)]);
-        assert_eq!(idx, vec![0, 0, 1, 1]);
+        // Each input voxel quantizes onto a member of the coarse cloud.
+        let cells: Vec<_> = vc.coords().iter().map(|c| ds.index_of(c.quantize(2))).collect();
+        assert_eq!(cells, [Some(0), Some(0), Some(1), Some(1)]);
     }
 
     #[test]
     fn downsample_preserves_alignment_invariant() {
         let vc = VoxelCloud::from_unsorted(vec![Coord::new(-4, 6, 2), Coord::new(0, -2, 4)], 2);
-        let (ds, _) = vc.downsample(2);
+        let ds = vc.downsample(2);
         assert_eq!(ds.stride(), 4);
         for c in ds.coords() {
             assert_eq!(c.quantize(4), *c);
@@ -300,11 +282,11 @@ mod tests {
             Point3::new(0.2, 0.2, 0.2),
             Point3::new(1.5, 0.0, 0.0),
         ]);
-        let (vc, idx) = ps.voxelize(1.0);
+        let vc = ps.voxelize(1.0);
         assert_eq!(vc.len(), 2);
-        assert_eq!(idx.len(), 3);
-        assert_eq!(idx[0], idx[1]);
-        assert_ne!(idx[0], idx[2]);
+        // Every point's voxel is a member; the first two share one.
+        let idx: Vec<_> = ps.points().iter().map(|p| vc.index_of(p.voxelize(1.0))).collect();
+        assert_eq!(idx, [Some(0), Some(0), Some(1)]);
     }
 
     #[test]

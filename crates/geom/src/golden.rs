@@ -241,7 +241,7 @@ mod tests {
     #[test]
     fn kernel_map_downsample_covers_every_input() {
         let c = grid_cloud();
-        let (ds, _) = c.downsample(2);
+        let ds = c.downsample(2);
         let maps = kernel_map_hash(&c, &ds, 2);
         // A kernel-2/stride-2 downsampling conv touches every input point
         // exactly once (each input falls in exactly one output cell at

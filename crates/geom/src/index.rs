@@ -1239,7 +1239,7 @@ mod tests {
             let want = golden::kernel_map_hash(&cloud, &cloud, ks);
             assert_eq!(got.to_entries(), want.to_entries(), "kernel_size={ks}");
         }
-        let (coarse, _) = cloud.downsample(2);
+        let coarse = cloud.downsample(2);
         let got = kernel_map(&cloud, &coarse, 2);
         let want = golden::kernel_map_hash(&cloud, &coarse, 2);
         assert_eq!(got.to_entries(), want.to_entries());

@@ -409,7 +409,7 @@ impl KernelMap {
     /// the output cell it falls in. Returns the coarse cloud alongside
     /// the maps (the executor threads it to the next layer).
     pub fn downsample(cloud: &VoxelCloud, kernel_size: usize, stride: i32) -> (VoxelCloud, Self) {
-        let (coarse, _) = cloud.downsample(stride);
+        let coarse = cloud.downsample(stride);
         let table = kernel_map(cloud, &coarse, kernel_size);
         let km = KernelMap::new(table, cloud.len(), coarse.len(), kernel_size.pow(3));
         (coarse, km)

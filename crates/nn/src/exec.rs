@@ -186,7 +186,7 @@ impl Executor {
                         voxel_size: v,
                     });
                 }
-                let (vc, _) = points.voxelize(v);
+                let vc = points.voxelize(v);
                 let centers: Vec<Point3> = vc
                     .coords()
                     .iter()

@@ -13,8 +13,10 @@
 //!   non-overflowing group offsets covering the parallel index arrays
 //!   ([`MapTable::validate`]).
 //! - **Index bounds**: every map's input index stays inside the layer's
-//!   input domain and every output index inside its scatter domain,
-//!   with the offending group/entry named in the error.
+//!   input domain and every output index inside its scatter domain, and
+//!   outputs do not decrease within a weight group (the replay slices
+//!   each group by output tile), with the offending group/entry named in
+//!   the error.
 //! - **Mapping-op consistency**: the recorded mapping operations match
 //!   the layer kind (quantize/kernel-map for SparseConv, FPS + ball
 //!   query for set abstraction, feature-space k-NN for EdgeConv, k-NN
@@ -113,6 +115,17 @@ pub enum VerifyError {
         index: u32,
         /// Domain size the index must stay below.
         bound: usize,
+    },
+    /// A map's output is below the previous map's in its weight group.
+    /// The replay finds each output tile's maps by binary search, so
+    /// outputs must not decrease within a group.
+    OutputsOutOfOrder {
+        /// Index of the offending layer.
+        layer: usize,
+        /// Weight group holding the offending map.
+        group: usize,
+        /// Entry position within the group.
+        entry: usize,
     },
     /// A kernel-map op's kernel volume disagrees with the table's
     /// weight-group count.
@@ -253,6 +266,11 @@ impl fmt::Display for VerifyError {
                 f,
                 "layer {layer}: map (group {group}, entry {entry}) output {index} \
                  outside output domain of {bound}"
+            ),
+            VerifyError::OutputsOutOfOrder { layer, group, entry } => write!(
+                f,
+                "layer {layer}: map (group {group}, entry {entry}) output below the \
+                 previous entry's"
             ),
             VerifyError::KernelVolumeMismatch { layer, declared, groups } => write!(
                 f,
@@ -417,7 +435,8 @@ fn check_shapes(i: usize, l: &LayerTrace) -> Result<(), VerifyError> {
 }
 
 /// Bounds-checks every map entry: inputs below `in_bound`, outputs
-/// below `out_bound`, with group/entry attribution on failure.
+/// below `out_bound` and non-decreasing within each weight group, with
+/// group/entry attribution on failure.
 fn check_bounds(
     i: usize,
     m: &MapTable,
@@ -426,6 +445,7 @@ fn check_bounds(
 ) -> Result<(), VerifyError> {
     for group in 0..m.n_weights() {
         let g = m.group(group);
+        let mut previous = 0;
         for (entry, (&input, &output)) in g.inputs().iter().zip(g.outputs()).enumerate() {
             if input as usize >= in_bound {
                 return Err(VerifyError::InputIndexOutOfBounds {
@@ -445,6 +465,10 @@ fn check_bounds(
                     bound: out_bound,
                 });
             }
+            if output < previous {
+                return Err(VerifyError::OutputsOutOfOrder { layer: i, group, entry });
+            }
+            previous = output;
         }
     }
     Ok(())

@@ -19,16 +19,12 @@ pub struct EnergyTable {
     /// One comparator (compare-exchange) evaluation in the sorting
     /// networks, key width ~96 bit.
     pub compare_pj: f64,
-    /// One 32-bit ALU op (distance calculation, address generation).
-    pub alu_pj: f64,
-    /// One pipeline register transfer of a `ComparatorStruct`.
-    pub reg_pj: f64,
 }
 
 impl EnergyTable {
     /// The 40 nm table used throughout the reproduction.
     pub const fn tsmc40() -> Self {
-        EnergyTable { mac_pj: 3.2, compare_pj: 0.5, alu_pj: 0.3, reg_pj: 0.06 }
+        EnergyTable { mac_pj: 3.2, compare_pj: 0.5 }
     }
 
     /// Energy of `n` MACs.

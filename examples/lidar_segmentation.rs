@@ -16,7 +16,7 @@ use pointacc_nn::{zoo, ExecMode, Executor};
 fn main() {
     let n_points = 40_000;
     let sweep = Dataset::SemanticKitti.generate(3, n_points);
-    let (voxels, _) = sweep.voxelize(0.1);
+    let voxels = sweep.voxelize(0.1);
     println!(
         "LiDAR sweep: {} points -> {} voxels (density {:.5}%)",
         sweep.len(),

@@ -15,7 +15,7 @@ use pointacc_geom::golden;
 fn main() {
     let mpu = Mpu::new(64);
     let pts = Dataset::ModelNet40.generate(5, 2048);
-    let (cloud, _) = pts.voxelize(0.02);
+    let cloud = pts.voxelize(0.02);
 
     // FPS runs once; the ball-query check reuses its centroids.
     let (fps_mpu, fps_stats) = mpu.farthest_point_sampling(&pts, 512);
@@ -45,7 +45,7 @@ fn main() {
         }),
         Box::new(|| {
             let (down, stats) = mpu.quantize(&cloud, 2);
-            let (down_gold, _) = cloud.downsample(2);
+            let down_gold = cloud.downsample(2);
             assert_eq!(down, down_gold);
             format!(
                 "Quantize {} -> {}:  {:>9} cycles (matches golden downsample)",

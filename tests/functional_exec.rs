@@ -36,7 +36,7 @@ fn segmentation_networks_emit_per_point_logits() {
 fn voxel_network_preserves_resolution_through_unet() {
     let pts = Dataset::S3dis.generate(3, 2000);
     let out = Executor::new(ExecMode::Full, 5).run(&zoo::mini_minkunet(), &pts);
-    let (voxels, _) = pts.voxelize(0.05);
+    let voxels = pts.voxelize(0.05);
     assert_eq!(out.features.rows(), voxels.len());
     assert_eq!(out.features.cols(), 13);
 }
@@ -45,7 +45,7 @@ fn voxel_network_preserves_resolution_through_unet() {
 fn minkowski_net_full_mode_produces_nonzero_per_voxel_features() {
     let pts = Dataset::S3dis.generate(42, 400);
     let out = Executor::new(ExecMode::Full, 42).run(&zoo::minkowski_net(), &pts);
-    let (voxels, _) = pts.voxelize(0.05);
+    let voxels = pts.voxelize(0.05);
     assert_eq!(out.features.rows(), voxels.len(), "U-Net restores input resolution");
     assert_eq!(out.features.cols(), 20, "MinkowskiNet emits 20 class channels");
     assert!(out.features.data().iter().all(|v| v.is_finite()), "features must be finite");

@@ -180,7 +180,7 @@ proptest! {
 
     #[test]
     fn downsampled_kernel_map_backends_agree(cloud in arb_cloud(120), ks in 2usize..4) {
-        let (coarse, _) = cloud.downsample(2);
+        let coarse = cloud.downsample(2);
         let got = index::kernel_map(&cloud, &coarse, ks);
         let want = golden::kernel_map_hash(&cloud, &coarse, ks);
         prop_assert_eq!(got.to_entries(), want.to_entries());

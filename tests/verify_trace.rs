@@ -167,6 +167,29 @@ fn out_of_range_output_index_is_rejected_with_location() {
 }
 
 #[test]
+fn swapped_outputs_within_a_group_are_rejected_with_location() {
+    let (key, trace) = minknet();
+    let mut trace = trace.clone();
+    let li = first_mapped_layer(&trace);
+    let m = trace.layers[li].maps.as_mut().unwrap();
+    // The first pair of adjacent maps in one group whose outputs ascend.
+    let (group, entry) = (0..m.n_weights())
+        .find_map(|w| {
+            let outputs = m.group(w).outputs();
+            outputs.windows(2).position(|pair| pair[0] < pair[1]).map(|j| (w, j))
+        })
+        .expect("a MinkNet table has a group with two distinct outputs");
+    let mut outputs = m.outputs().to_vec();
+    let at = m.offsets()[group] + entry;
+    outputs.swap(at, at + 1);
+    *m = MapTable::try_from_soa(m.inputs().to_vec(), outputs, m.offsets().to_vec()).unwrap();
+    assert_eq!(
+        verify_trace(key, &trace).unwrap_err(),
+        VerifyError::OutputsOutOfOrder { layer: li, group, entry: entry + 1 }
+    );
+}
+
+#[test]
 fn row_mutation_breaks_the_dataflow_chain() {
     let (key, trace) = minknet();
     let mut trace = trace.clone();
