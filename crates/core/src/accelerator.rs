@@ -48,13 +48,16 @@ impl Default for RunOptions {
 /// Block sizes the compiler considers (paper Fig. 18 sweeps 1–128).
 const BLOCK_CANDIDATES: [usize; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
 
-/// Cache accesses below which `run_with` walks a trace's caches
-/// serially, counted as one pass of each distinct walk. Measured on a
-/// 2-core host with mini MinkowskiUNet replays on Edge: 768 accesses
-/// take 44 µs serially and 46–48 µs on the pool, and from about 1 000
-/// on the pool wins (1 152 accesses: 87–90 µs serially, 45–84 µs on the
-/// pool).
-const REPLAY_PAR_WORK: u64 = 1 << 10;
+/// Cache work below which `run_with` walks a trace's caches serially,
+/// counted as the accesses of each distinct walk's stream: the walk visits
+/// each map once, and prices every other segment with one compare per set
+/// it touches, at most one per map. Measured on a 2-core host with mini
+/// MinkowskiUNet replays on Edge, medians of 400 replays in three to five
+/// sessions: up to 3 852 accesses the serial walk won most sessions
+/// (3 852: 78–118 µs serially, 78–111 µs on the pool), at 4 706 the pool
+/// won two of three (101–122 µs against 105–136 µs), and from 6 010 on it
+/// won every session (107–112 µs against 121–189 µs).
+const REPLAY_PAR_WORK: u64 = 1 << 12;
 
 /// One layer's walk through the input cache: what
 /// [`simulate_sparse_accesses`] prices. Layers with equal walks price
@@ -140,8 +143,8 @@ impl Accelerator {
         };
         let (walks, walk_of) = self.walks(trace, &fusion, opts);
         let simulate = |w: &Walk<'_>| simulate_sparse_accesses(&w.candidates, w.maps, w.plan);
-        // One pass per output tile: the maps once per input-channel tile.
-        let work: usize = walks.iter().map(|w| w.maps.len() * w.plan.ic_tiles).sum();
+        let work: usize =
+            walks.iter().map(|w| w.maps.len() * w.plan.ic_tiles * w.plan.oc_tiles).sum();
         let walked = if (work as u64) < REPLAY_PAR_WORK {
             walks.iter().map(simulate).collect()
         } else {

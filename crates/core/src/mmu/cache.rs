@@ -11,24 +11,31 @@
 //! The walk is bit-exact but need not visit every access, nor probe
 //! every access it visits:
 //!
-//! - **Per-set identity.** The loop nest replays an output tile's input
-//!   stream once per output-channel tile, and a direct-mapped set holds
-//!   the last block mapped to it. So each set sees the same sequence of
-//!   ids in every pass of a tile, and only the first access of the
-//!   sequence depends on what the set held before the pass. A pass
-//!   misses once for each set whose first access finds another id, plus
-//!   the misses after each set's first access, and it leaves every set
-//!   it touches holding that set's last id. Once one geometry is live
-//!   and a tile has two or more passes left, the walk takes one pass
-//!   recording each set's first id and whether that first access missed.
-//!   Every later pass of the tile then misses `pass misses − first-access
-//!   misses + sets whose first and last ids differ`, since it starts with
-//!   each touched set holding the recorded pass's last id. This is the
-//!   one-pass idea of stack-based cache evaluation (Mattson et al.,
-//!   "Evaluation techniques for storage hierarchies", IBM Systems Journal
-//!   1970): later runs follow from one run's per-set state. So the walk
-//!   takes one pass per output tile, plus those the search walks while
-//!   it compares candidates.
+//! - **Segments.** The loop nest sweeps an output tile's resident maps
+//!   once per (output-channel pass, input-channel tile): a *segment*.
+//!   Channel tile `ic` reads the blocks of tile 0 with every id shifted by
+//!   exactly `2·ic`. An id is `(block·0x9E37_79B9 + 2·ic) | 1`, and
+//!   `(x + 2·ic) | 1 == (x | 1) + 2·ic` since `2·ic` is even; nothing
+//!   wraps, since `block·0x9E37_79B9 + 2·ic + 1 < 2^64` for any u32 block
+//!   and tile. So set `s` of tile 0 becomes set `(s + 2·ic) mod sets`, a
+//!   bijection, and it sees the same sequence of ids, shifted. A
+//!   direct-mapped set holds the last block mapped to it, so only each
+//!   set's first access in a segment depends on the state before it. The
+//!   walk takes segment (pass 0, tile 0) access by access, recording for
+//!   every set `s` it touches the first id `first[s]` and the last id
+//!   `last[s]`, and `internal`, the misses after each set's first access.
+//!   Segment (pass, `ic`) then misses
+//!   `internal + #{touched s : tags[(s + 2·ic) mod sets] ≠ first[s] + 2·ic}`
+//!   and leaves `last[s] + 2·ic` in each such set: one compare and one
+//!   store per touched set, for every live candidate. A complete pass
+//!   leaves each set it touches holding that set's last id of the pass,
+//!   so every pass after the first starts from the same state: the walk
+//!   prices a tile's second pass and multiplies it over the later ones.
+//!   This is the one-pass idea of stack-based cache evaluation (Mattson
+//!   et al., "Evaluation techniques for storage hierarchies", IBM Systems
+//!   Journal 1970): later runs follow from one run's per-set state. So
+//!   the walk takes one segment per output tile, plus the one that the
+//!   search's sample boundary cuts, if any.
 //! - **Repeat-block rule.** An access to the block of the access just
 //!   before it, in the same geometry and input-channel tile, hits: that
 //!   access left the block resident and nothing came between. The walk
@@ -129,6 +136,8 @@ struct TagArray {
     cfg: CacheConfig,
     tags: Vec<u64>,
     misses: u64,
+    /// The current output tile's recorded segment.
+    record: SegmentRecord,
     block_shift: Option<u32>,
     block_recip: u128,
     set_recip: u128,
@@ -144,6 +153,7 @@ impl TagArray {
             cfg,
             tags: vec![0; sets as usize],
             misses: 0,
+            record: SegmentRecord::default(),
             block_shift: (block_points.is_power_of_two() && block_points < 1 << 32)
                 .then(|| block_points.trailing_zeros()),
             block_recip: block_recip(block_points),
@@ -185,44 +195,72 @@ impl TagArray {
         self.misses += misses;
     }
 
+    /// Starts the record of an output tile's segment (pass 0, tile 0).
+    fn begin_record(&mut self) {
+        let record = &mut self.record;
+        record.seen.resize(self.tags.len(), false);
+        record.sets.clear();
+        record.internal = 0;
+    }
+
+    /// [`TagArray::walk`] in channel tile 0, adding every probe to the
+    /// record.
+    fn walk_recorded(&mut self, inputs: &[u32]) {
+        let mut record = std::mem::take(&mut self.record);
+        self.walk(inputs, 0, |set, id, hit| record.probed(set, id, hit));
+        self.record = record;
+    }
+
+    /// Ends the recorded segment: each set it touched holds its last id.
+    fn end_record(&mut self) {
+        let SegmentRecord { seen, sets, .. } = &mut self.record;
+        for (set, _, last) in sets {
+            *last = self.tags[*set as usize];
+            seen[*set as usize] = false;
+        }
+    }
+
+    /// Prices the current output tile's segment in channel tile `ic` from
+    /// the record: set `s` becomes `(s + 2·ic) mod sets`, and every id
+    /// grows by `2·ic` (see the module docs).
+    fn price(&mut self, ic: u32) {
+        let step = 2 * u64::from(ic);
+        let n = self.tags.len();
+        let shift = (step % n as u64) as usize;
+        let mut misses = self.record.internal;
+        for &(set, first, last) in &self.record.sets {
+            let s = set as usize + shift;
+            let s = if s < n { s } else { s - n };
+            misses += u64::from(self.tags[s] != first + step);
+            self.tags[s] = last + step;
+        }
+        self.misses += misses;
+    }
+
     fn dram_bytes(&self) -> u64 {
         self.misses * self.cfg.block_bytes() as u64
     }
 }
 
-/// Each set's first access in one recorded output-channel pass.
-struct PassRecord {
-    /// The pass's first id in each set; 0 for a set it has not touched.
-    first: Vec<u64>,
-    /// The sets the pass has touched.
-    touched: Vec<u32>,
-    /// Touched sets whose first access missed.
-    first_misses: u64,
+/// Each set's accesses in the recorded segment of an output tile.
+#[derive(Default)]
+struct SegmentRecord {
+    /// Whether the segment has touched each set; cleared when it ends.
+    seen: Vec<bool>,
+    /// `(set, first id, last id)` of each set the segment touched.
+    sets: Vec<(u32, u64, u64)>,
+    /// Misses after each set's first access.
+    internal: u64,
 }
 
-impl PassRecord {
-    fn new(sets: usize) -> Self {
-        PassRecord { first: vec![0; sets], touched: Vec::new(), first_misses: 0 }
-    }
-
+impl SegmentRecord {
     fn probed(&mut self, set: usize, id: u64, hit: bool) {
-        if self.first[set] == 0 {
-            self.first[set] = id;
-            self.touched.push(set as u32);
-            self.first_misses += u64::from(!hit);
+        if self.seen[set] {
+            self.internal += u64::from(!hit);
+        } else {
+            self.seen[set] = true;
+            self.sets.push((set as u32, id, 0));
         }
-    }
-
-    /// The misses of every later pass, given the recorded pass's
-    /// `misses` and the `tags` it left; clears the record.
-    fn later_pass_misses(&mut self, misses: u64, tags: &[u64]) -> u64 {
-        let mut changed = 0;
-        for set in self.touched.drain(..) {
-            let set = set as usize;
-            changed += u64::from(self.first[set] != tags[set]);
-            self.first[set] = 0;
-        }
-        misses - std::mem::take(&mut self.first_misses) + changed
     }
 }
 
@@ -263,10 +301,12 @@ pub struct SparseAccessPlan {
 /// Loop nest (paper §4.2.2): output-stationary outer over output tiles
 /// and output-channel tiles; weight-stationary inner over kernel offsets
 /// and the maps of the resident outputs; input channels tiled innermost.
-/// Every output-channel pass of a tile reads the same stream. Once one
-/// geometry is live and the tile has two or more passes left, one pass
-/// is walked with each set's first access recorded, and the tile's
-/// later passes are priced from that record (see the module docs).
+/// Each (output-channel pass, input-channel tile) of an output tile is a
+/// segment over the same maps. The walk takes the tile's first segment
+/// access by access, recording each set's first and last ids, and
+/// prices the other segments from that record for every live candidate
+/// (see the module docs); only a segment that the sample boundary cuts
+/// is walked as well.
 ///
 /// # Panics
 ///
@@ -282,41 +322,23 @@ pub fn simulate_sparse_accesses(
     }
     let mut live: Vec<TagArray> = candidates.iter().map(|&cfg| TagArray::new(cfg)).collect();
     let mut accesses = 0u64;
-    let n_out = maps.outputs().iter().max().map_or(0, |&m| m as usize + 1);
-    let tile_pts = plan.out_tile_points.max(1);
-    let n_tiles = n_out.div_ceil(tile_pts).max(1);
+    // Tile bounds are u64: a tile of 2^32 or more points ends past every
+    // u32 output.
+    let n_out = maps.outputs().iter().max().map_or(0, |&m| u64::from(m) + 1);
+    let tile_pts = plan.out_tile_points.max(1) as u64;
     let mut resident: Vec<&[u32]> = Vec::with_capacity(maps.n_weights());
-    let mut record = None;
-    for t in 0..n_tiles {
-        let lo = (t * tile_pts) as u32;
-        let hi = ((t + 1) * tile_pts) as u32;
+    for t in 0..n_out.div_ceil(tile_pts).max(1) {
+        let (lo, hi) = (t * tile_pts, (t + 1) * tile_pts);
         // Outputs ascend within each weight group (`verify_trace` checks
         // it), so each weight's resident maps are a contiguous slice.
         resident.clear();
         resident.extend((0..maps.n_weights()).map(|w| {
             let group = maps.group(w);
-            let start = group.outputs().partition_point(|&o| o < lo);
-            let end = group.outputs().partition_point(|&o| o < hi);
+            let start = group.outputs().partition_point(|&o| u64::from(o) < lo);
+            let end = group.outputs().partition_point(|&o| u64::from(o) < hi);
             &group.inputs()[start..end]
         }));
-        for oc in 0..plan.oc_tiles {
-            let passes = (plan.oc_tiles - oc) as u64;
-            if let ([cache], 2..) = (&mut live[..], passes) {
-                let record = record.get_or_insert_with(|| PassRecord::new(cache.tags.len()));
-                let before = cache.misses;
-                for ic in 0..plan.ic_tiles as u32 {
-                    for &inputs in &resident {
-                        cache.walk(inputs, ic, |set, id, hit| record.probed(set, id, hit));
-                    }
-                }
-                let later = record.later_pass_misses(cache.misses - before, &cache.tags);
-                cache.misses += (passes - 1) * later;
-                let pass: usize = resident.iter().map(|inputs| inputs.len()).sum();
-                accesses += passes * (pass * plan.ic_tiles) as u64;
-                break;
-            }
-            walk_pass(&mut live, &mut accesses, &resident, plan.ic_tiles);
-        }
+        walk_tile(&mut live, &mut accesses, &resident, plan);
     }
     keep_cheapest(&mut live, accesses);
     let winner = live.pop()?;
@@ -329,30 +351,90 @@ pub fn simulate_sparse_accesses(
     Some((winner.cfg, stats))
 }
 
-/// One output-channel pass over an output tile: every input-channel tile
-/// over the `resident` maps of each weight. While several candidates are
-/// live, each walks a slice in turn up to `SEARCH_SAMPLE` accesses,
-/// where the search decides; the one live geometry walks the rest.
-fn walk_pass(live: &mut Vec<TagArray>, accesses: &mut u64, resident: &[&[u32]], ic_tiles: usize) {
-    for ic in 0..ic_tiles as u32 {
-        for &inputs in resident {
-            let mut rest = inputs;
-            if live.len() > 1 {
-                let sample;
-                (sample, rest) =
-                    inputs.split_at(inputs.len().min((SEARCH_SAMPLE - *accesses) as usize));
-                for cache in live.iter_mut() {
-                    cache.walk(sample, ic, |_, _, _| ());
-                }
-                *accesses += sample.len() as u64;
-                if *accesses == SEARCH_SAMPLE {
-                    keep_cheapest(live, *accesses);
-                }
+/// Every segment of one output tile, in loop-nest order: each
+/// output-channel pass sweeps each input-channel tile over the
+/// `resident` maps of each weight. Segment (0, 0) is walked and
+/// recorded, the rest priced from the record, and once one geometry is
+/// live a pass after the first is priced once for all later passes.
+fn walk_tile(
+    live: &mut Vec<TagArray>,
+    accesses: &mut u64,
+    resident: &[&[u32]],
+    plan: SparseAccessPlan,
+) {
+    let len: u64 = resident.iter().map(|inputs| inputs.len() as u64).sum();
+    let (ic_tiles, passes) = (plan.ic_tiles as u32, plan.oc_tiles as u64);
+    let segments = u64::from(ic_tiles) * passes;
+    if len == 0 || segments == 0 {
+        return;
+    }
+    // A tile with one segment needs no record.
+    if segments == 1 {
+        walk_segment(live, accesses, resident, 0, false);
+        return;
+    }
+    live.iter_mut().for_each(TagArray::begin_record);
+    walk_segment(live, accesses, resident, 0, true);
+    live.iter_mut().for_each(TagArray::end_record);
+    for pass in 0..passes {
+        if let ([cache], 1..) = (&mut live[..], pass) {
+            // Each later pass starts from the state this one starts from.
+            let before = cache.misses;
+            (0..ic_tiles).for_each(|ic| cache.price(ic));
+            cache.misses += (passes - pass - 1) * (cache.misses - before);
+            *accesses += (passes - pass) * u64::from(ic_tiles) * len;
+            return;
+        }
+        for ic in u32::from(pass == 0)..ic_tiles {
+            if live.len() > 1 && *accesses + len > SEARCH_SAMPLE {
+                walk_segment(live, accesses, resident, ic, false);
+                continue;
             }
-            if let [cache] = &mut live[..] {
-                cache.walk(rest, ic, |_, _, _| ());
-                *accesses += rest.len() as u64;
+            live.iter_mut().for_each(|cache| cache.price(ic));
+            *accesses += len;
+            if *accesses == SEARCH_SAMPLE {
+                keep_cheapest(live, *accesses);
             }
+        }
+    }
+}
+
+/// One segment of an output tile, walked access by access: channel tile
+/// `ic` over the `resident` maps of each weight, added to the record if
+/// `record` (segment (0, 0) only). While several candidates are live,
+/// each walks a slice in turn up to `SEARCH_SAMPLE` accesses, where the
+/// search decides; the one live geometry walks the rest.
+fn walk_segment(
+    live: &mut Vec<TagArray>,
+    accesses: &mut u64,
+    resident: &[&[u32]],
+    ic: u32,
+    record: bool,
+) {
+    let walk = |cache: &mut TagArray, inputs| {
+        if record {
+            cache.walk_recorded(inputs);
+        } else {
+            cache.walk(inputs, ic, |_, _, _| ());
+        }
+    };
+    for &inputs in resident {
+        let mut rest = inputs;
+        if live.len() > 1 {
+            let sample;
+            (sample, rest) =
+                inputs.split_at(inputs.len().min((SEARCH_SAMPLE - *accesses) as usize));
+            for cache in live.iter_mut() {
+                walk(cache, sample);
+            }
+            *accesses += sample.len() as u64;
+            if *accesses == SEARCH_SAMPLE {
+                keep_cheapest(live, *accesses);
+            }
+        }
+        if let [cache] = &mut live[..] {
+            walk(cache, rest);
+            *accesses += rest.len() as u64;
         }
     }
 }
@@ -663,6 +745,125 @@ pub(crate) mod tests {
                 assert_eq!(got, want, "{name}, {oc_tiles} passes");
                 assert_eq!(got.1.misses, misses, "{name}, {oc_tiles} passes");
             }
+        }
+    }
+
+    #[test]
+    fn sample_boundary_in_any_segment_matches_the_oracle() {
+        let geometry =
+            |bp| CacheConfig { capacity_bytes: 64 << 10, block_points: bp, row_bytes: 64 };
+        let all = [1, 2, 4, 8, 16, 32, 64, 128].map(geometry);
+        let tiles = |ic_tiles, oc_tiles, out_tile_points| SparseAccessPlan {
+            ic_tiles,
+            oc_tiles,
+            out_tile_points,
+        };
+        let one_tile = 1 << 20;
+        let sample = SEARCH_SAMPLE as usize;
+        // (name, maps, plan, maps per output tile, the (output tile, pass,
+        // channel tile) whose segment the boundary cuts)
+        let cases = [
+            ("recorded", seeded_maps(12, 40_000, 4, |_| 64), tiles(2, 1, 5_000), 20_000, (1, 0, 0)),
+            ("ic 2", seeded_maps(13, 20_000, 4, |_| 8), tiles(4, 2, one_tile), 20_000, (0, 0, 2)),
+            ("pass 2", seeded_maps(14, 9_000, 3, |_| 256), tiles(2, 5, one_tile), 9_000, (0, 2, 1)),
+        ];
+        for (name, maps, plan, len, cut) in cases {
+            let got = simulate_sparse_accesses(&all, &maps, plan).unwrap();
+            assert_eq!(got, naive_search(&all, &maps, plan, sample), "{name}");
+            let (ic_tiles, segments) = (plan.ic_tiles, plan.ic_tiles * plan.oc_tiles);
+            let segment = sample / len;
+            assert_ne!(sample % len, 0, "{name}: the boundary ends a segment");
+            let at = (segment / segments, segment % segments / ic_tiles, segment % ic_tiles);
+            assert_eq!(at, cut, "{name}");
+        }
+    }
+
+    #[test]
+    fn channel_tile_shifts_wrap_around_few_sets() {
+        // Twelve channel tiles shift sets by up to 22, so with at most 22
+        // sets the shifts wrap; one set holds one block at a time.
+        let maps = seeded_maps(15, 600, 3, |_| 40);
+        let geometry = |sets: usize, block_points| CacheConfig {
+            capacity_bytes: sets * 64 * block_points,
+            block_points,
+            row_bytes: 64,
+        };
+        let search = [1, 3, 7, 22].map(|sets| geometry(sets, 1));
+        let fixed = [1, 3, 7, 22].map(|sets| [geometry(sets, 1), geometry(sets, 3)]);
+        let fixed = fixed.iter().flatten().map(std::slice::from_ref);
+        for (ic_tiles, oc_tiles, out_tile_points) in [(12, 1, 64), (12, 3, 16), (5, 4, 7)] {
+            let plan = SparseAccessPlan { ic_tiles, oc_tiles, out_tile_points };
+            for candidates in fixed.clone().chain([&search[..]]) {
+                let got = simulate_sparse_accesses(candidates, &maps, plan).unwrap();
+                let want = naive_search(candidates, &maps, plan, SEARCH_SAMPLE as usize);
+                assert_eq!(got, want, "{candidates:?}, {plan:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_output_tiles_match_the_oracle() {
+        // Outputs 0–9 and 30–39 in tiles of 10: tiles 1 and 2 are empty.
+        let entries = (0..10)
+            .chain(30..40)
+            .flat_map(|q| (0..3).map(move |w| MapEntry::new((q * 3 + w) % 17, q, w as u16)))
+            .collect();
+        let maps = MapTable::from_entries(entries, 3);
+        let search = [four_sets(1), four_sets(2), four_sets(5)];
+        for candidates in [&search[..1], &search] {
+            for (ic_tiles, oc_tiles) in [(1, 1), (3, 1), (1, 4), (3, 2)] {
+                let plan = SparseAccessPlan { ic_tiles, oc_tiles, out_tile_points: 10 };
+                let got = simulate_sparse_accesses(candidates, &maps, plan).unwrap();
+                let want = naive_search(candidates, &maps, plan, SEARCH_SAMPLE as usize);
+                assert_eq!(got, want, "{candidates:?}, {plan:?}");
+                assert_eq!(got.1.accesses, (60 * ic_tiles * oc_tiles) as u64);
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn output_tiles_past_u32_max_hold_every_output() {
+        let maps = stream(&(0..100).collect::<Vec<u32>>());
+        let cfg = [four_sets(1)];
+        for (ic_tiles, oc_tiles) in [(1, 1), (2, 3)] {
+            let plan = SparseAccessPlan { ic_tiles, oc_tiles, out_tile_points: (1 << 32) + 8 };
+            let got = simulate_sparse_accesses(&cfg, &maps, plan).unwrap();
+            assert_eq!(got, naive_search(&cfg, &maps, plan, SEARCH_SAMPLE as usize));
+            assert_eq!(got.1.accesses, (100 * ic_tiles * oc_tiles) as u64);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random small tables, plans and geometries; the longest streams
+        /// (1 500 maps × 12 channel tiles × 5 passes) cross the sample.
+        #[test]
+        fn segments_match_the_oracle(
+            seed in 0u64..u64::MAX,
+            n_maps in 0usize..1_500,
+            weights in 1usize..5,
+            spread in 1u64..2_000,
+            tiling in (1usize..13, 1usize..6, 1usize..300),
+            blocks in prop::collection::vec(1usize..130, 1..5),
+            sets in 1usize..48,
+            row_bytes in 1usize..65,
+        ) {
+            let maps = seeded_maps(seed, n_maps, weights, |_| spread);
+            let (ic_tiles, oc_tiles, out_tile_points) = tiling;
+            let plan = SparseAccessPlan { ic_tiles, oc_tiles, out_tile_points };
+            // Eight blocks of `block_points` per `sets`, at least one set.
+            let candidates: Vec<CacheConfig> = (blocks.iter())
+                .map(|&block_points| CacheConfig {
+                    capacity_bytes: sets * 8 * row_bytes,
+                    block_points,
+                    row_bytes,
+                })
+                .collect();
+            let got = simulate_sparse_accesses(&candidates, &maps, plan).unwrap();
+            let want = naive_search(&candidates, &maps, plan, SEARCH_SAMPLE as usize);
+            prop_assert_eq!(got, want, "{:?}, {:?}", candidates, plan);
         }
     }
 

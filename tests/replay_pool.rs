@@ -11,7 +11,7 @@ use pointacc_nn::{zoo, ExecMode, Executor};
 #[test]
 fn first_replay_spawns_no_threads() {
     // Compiling 1 200 points of mini MinkowskiUNet stays serial, and on
-    // Edge its cache walks come to about 56 000 accesses, far above the
+    // Edge its cache walks come to about 72 000 accesses, far above the
     // replay's work gate, so `run` prices its layers on the pool.
     let pts: PointSet = (0..1200)
         .map(|i| {
