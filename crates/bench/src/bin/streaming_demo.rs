@@ -4,7 +4,7 @@
 //! The scenario has two phases: a *motion* phase (ego advances, ~10 % of
 //! azimuth columns churn per frame — every frame compiles) and a *dwell*
 //! phase (ego stops, frames repeat bit-identically — every frame reuses
-//! the cached trace and skips the mapping phase). The demo prints the
+//! the previous frame's report and skips the mapping phase). The demo prints the
 //! per-frame timeline, the reuse accounting (overall and steady-state —
 //! CI greps the steady-state line for `compiles=0`), and writes
 //! `BENCH_streaming.json` with amortized-vs-cold throughput.
@@ -17,8 +17,7 @@ use std::time::Duration;
 
 use pointacc::{Accelerator, PointAccConfig};
 use pointacc_bench::frontend::{Clock, SimClock, WallClock};
-use pointacc_bench::stream::{serve_stream, StreamOptions, StreamReport};
-use pointacc_nn::stream::ReuseOutcome;
+use pointacc_bench::stream::{serve_stream, FrameRecord, StreamOptions, StreamReport};
 use pointacc_nn::zoo;
 
 const MOTION_FRAMES: usize = 6;
@@ -26,14 +25,28 @@ const DWELL_FRAMES: usize = 6;
 /// Amortized-over-cold throughput bar: reuse must strictly beat cold.
 const MIN_GAIN: f64 = 1.005;
 
-fn outcome_tag(outcome: ReuseOutcome) -> &'static str {
-    match outcome {
-        ReuseOutcome::Compiled => "compiled",
-        ReuseOutcome::ExactReuse => "exact-reuse",
+fn outcome_tag(reused: bool) -> &'static str {
+    if reused {
+        "exact-reuse"
+    } else {
+        "compiled"
     }
 }
 
-fn json_record(report: &StreamReport, opts: &StreamOptions, wall: Duration) -> String {
+/// One-line accounting summary; `compiles=…` is the token CI greps to
+/// enforce that steady-state identical-geometry frames compile zero new
+/// traces.
+fn accounting(records: &[FrameRecord]) -> String {
+    let reuses = records.iter().filter(|r| r.reused).count();
+    format!("frames={} exact_reuses={reuses} compiles={}", records.len(), records.len() - reuses)
+}
+
+fn json_record(
+    report: &StreamReport,
+    steady: &[FrameRecord],
+    opts: &StreamOptions,
+    wall: Duration,
+) -> String {
     let mut frames = String::new();
     for (i, r) in report.records.iter().enumerate() {
         if i > 0 {
@@ -48,14 +61,13 @@ fn json_record(report: &StreamReport, opts: &StreamOptions, wall: Duration) -> S
             ),
             r.index,
             r.points,
-            outcome_tag(r.outcome),
+            outcome_tag(r.reused),
             r.service.as_secs_f64() * 1e3,
             r.full_service.as_secs_f64() * 1e3,
             r.latency.as_secs_f64() * 1e3,
             r.met_slo,
         );
     }
-    let steady = report.stats_from(opts.dwell_after.unwrap_or(opts.frames) + 1);
     format!(
         concat!(
             "{{\n",
@@ -89,8 +101,8 @@ fn json_record(report: &StreamReport, opts: &StreamOptions, wall: Duration) -> S
         report.amortized_points_per_s() / report.cold_points_per_s(),
         report.slo_attainment(),
         report.max_latency().as_secs_f64() * 1e3,
-        report.stats.accounting(),
-        steady.accounting(),
+        accounting(&report.records),
+        accounting(steady),
         wall.as_secs_f64(),
         frames,
     )
@@ -127,16 +139,16 @@ fn main() {
             "{:>5}  {:>6}  {:<12}  {:>7.3} ms  {:>9.3} ms  {:>7.3} ms  {}",
             r.index,
             r.points,
-            outcome_tag(r.outcome),
+            outcome_tag(r.reused),
             r.service.as_secs_f64() * 1e3,
             r.full_service.as_secs_f64() * 1e3,
             r.latency.as_secs_f64() * 1e3,
             if r.met_slo { "met" } else { "MISS" },
         );
     }
-    let steady = report.stats_from(MOTION_FRAMES + 1);
-    println!("\noverall accounting: {}", report.stats.accounting());
-    println!("steady-state accounting: {}", steady.accounting());
+    let steady = &report.records[MOTION_FRAMES + 1..];
+    println!("\noverall accounting: {}", accounting(&report.records));
+    println!("steady-state accounting: {}", accounting(steady));
     println!(
         "amortized {:.1} points/s vs cold {:.1} points/s ({:.2}x), SLO attainment {:.0}%, wall {:.3} s",
         report.amortized_points_per_s(),
@@ -147,21 +159,16 @@ fn main() {
     );
 
     let out = pointacc_bench::streaming_out();
-    std::fs::write(&out, json_record(&report, &opts, elapsed))
+    std::fs::write(&out, json_record(&report, steady, &opts, elapsed))
         .unwrap_or_else(|e| panic!("writing {}: {e}", out.display())); // lint: allow(panic): bin top-level IO failure is fatal by design.
     println!("wrote {}", out.display());
 
-    assert_eq!(
-        steady.compiles,
-        0,
-        "steady-state dwell frames must compile nothing: {}",
-        steady.accounting()
-    );
     assert!(
-        steady.frames >= (DWELL_FRAMES - 1) as u64,
-        "dwell phase too short: {}",
-        steady.accounting()
+        steady.iter().all(|r| r.reused),
+        "steady-state dwell frames must compile nothing: {}",
+        accounting(steady)
     );
+    assert!(steady.len() >= DWELL_FRAMES - 1, "dwell phase too short: {}", accounting(steady));
     // The gain ceiling is the mapping phase's share of total modeled
     // time — small on the full accelerator precisely because PointAcc
     // accelerates mapping. The bar only asserts reuse strictly beats

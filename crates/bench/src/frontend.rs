@@ -43,12 +43,11 @@ use std::time::{Duration, Instant};
 
 use pointacc::Engine;
 use pointacc_nn::zoo::Benchmark;
-use pointacc_nn::TraceKey;
 
 use crate::cache::{FailurePolicy, TraceCache};
 use crate::serve::{percentile, BoundedQueue, Request, ServeReport, MAX_FAILURE_SAMPLES};
 use crate::sync::lock;
-use crate::{modeled_points, try_benchmark_trace_at};
+use crate::{benchmark_trace_key, modeled_points, try_benchmark_trace_at};
 
 /// A monotonic time source for the serving path: everything the
 /// front-end stamps — arrivals, dispatches, queue-latency percentiles,
@@ -728,7 +727,7 @@ impl<'a> Frontend<'a> {
 /// accounting never sees them.
 fn calibrate(engine: &dyn Engine, benchmarks: &[Benchmark], scale: f64) -> f64 {
     for bench in benchmarks {
-        let key = TraceKey::new(bench.notation, CALIBRATION_SEED, scale);
+        let key = benchmark_trace_key(bench, CALIBRATION_SEED, scale);
         let trace = match crate::cache::global()
             .try_get_or_build(&key, || try_benchmark_trace_at(bench, CALIBRATION_SEED, scale))
         {
@@ -762,7 +761,7 @@ fn execute(
             benchmarks.len()
         )),
         Some(bench) => {
-            let key = TraceKey::new(bench.notation, request.seed, scale);
+            let key = benchmark_trace_key(bench, request.seed, scale);
             cache
                 .try_get_or_build(&key, || try_benchmark_trace_at(bench, request.seed, scale))
                 .map_err(|e| e.to_string())

@@ -8,7 +8,6 @@
 //! and dense vertical structure at obstacles — density < 1e-4 when
 //! voxelized over the full extent (paper Fig. 5).
 
-use pointacc_geom::index::apply_point_delta;
 use pointacc_geom::{Point3, PointSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -207,53 +206,18 @@ pub fn generate_scan(rng: &mut StdRng, n: usize, profile: ScanProfile) -> PointS
     }
 }
 
-/// Sentinel for a ray slot with no current return.
-const NO_RETURN: u32 = u32::MAX;
-
-/// One frame of a [`FrameStream`]: the full registered cloud plus the
-/// exact delta from the previous frame.
-///
-/// `removed` holds positions **in the previous frame's point array**;
-/// `inserted` holds the new points. Applying
-/// [`pointacc_geom::index::apply_point_delta`] with this delta to the
-/// previous frame's array reproduces `points` bit-exactly — the stream
-/// maintains its own state through that same transformation.
-#[derive(Clone, Debug)]
-pub struct Frame {
-    /// Frame number, starting at 0.
-    pub index: usize,
-    /// The frame's full point cloud (ego-registered world frame).
-    pub points: PointSet,
-    /// Positions removed from the previous frame's array (unsorted
-    /// original slot-scan order; positions are distinct).
-    pub removed: Vec<u32>,
-    /// Points inserted this frame, in insertion order.
-    pub inserted: Vec<Point3>,
-}
-
-impl Frame {
-    /// Fraction of this frame's points carried over unchanged from the
-    /// previous frame (1.0 for an identical frame, 0.0 for a cold one).
-    pub fn overlap(&self) -> f32 {
-        if self.points.is_empty() {
-            return 0.0;
-        }
-        1.0 - self.inserted.len() as f32 / self.points.len() as f32
-    }
-}
-
 /// A deterministic stream of overlapping LiDAR sweeps: one persistent
 /// `Scene` traversed with per-frame ego motion, re-raycasting only a
 /// bounded rotating window of azimuth columns each frame.
 ///
 /// Points are kept in the ego-registered world frame (as a
 /// SLAM-registered pipeline would feed them), so the untouched columns'
-/// returns are **bit-identical** across frames — consecutive sweeps
-/// overlap heavily, and each [`FrameStream::next_frame`] reports the
-/// exact churn as a remove/insert delta whose layout matches
-/// [`apply_point_delta`]. With motion and churn set to zero (a stopped
-/// ego, [`FrameStream::set_motion`]) frames repeat bit-identically,
-/// which is what lets the serving layer's exact-match reuse path fire.
+/// returns are **bit-identical** across frames and consecutive sweeps
+/// overlap heavily. Each [`FrameStream::next_frame`] lists the returns
+/// in scan-slot order (column-major over the beams). With motion and
+/// churn set to zero (a stopped ego, [`FrameStream::set_motion`])
+/// frames repeat bit-identically, which is what lets the serving
+/// layer's exact-match reuse path fire.
 ///
 /// Everything (scene, jitter, churn schedule) derives from the seed, so
 /// two streams with equal parameters produce equal frame sequences.
@@ -269,12 +233,8 @@ pub struct FrameStream {
     churn_cols: usize,
     /// Rotating churn cursor (next column to refresh).
     next_col: usize,
-    /// Ray slot (`col * beams + beam`) → current point position, or
-    /// [`NO_RETURN`].
-    slot_point: Vec<u32>,
-    /// Point position → ray slot (inverse of `slot_point`).
-    point_slot: Vec<u32>,
-    points: Vec<Point3>,
+    /// Ray slot (`col * beams + beam`) → its current return, if any.
+    slots: Vec<Option<Point3>>,
     frame: usize,
 }
 
@@ -289,111 +249,60 @@ impl FrameStream {
         let azimuth_steps = (points_hint as f32 / (profile.beams as f32 * EXPECTED_HIT_RATE))
             .ceil()
             .max(1.0) as usize;
-        FrameStream {
+        let mut stream = FrameStream {
             rng,
             profile,
             scene,
             azimuth_steps,
             ego_x: 0.0,
-            ego_step: 0.5,
-            churn_cols: (azimuth_steps / 10).max(1),
+            ego_step: 0.0,
+            churn_cols: 0,
             next_col: 0,
-            slot_point: vec![NO_RETURN; azimuth_steps * profile.beams],
-            point_slot: Vec::new(),
-            points: Vec::new(),
+            slots: vec![None; azimuth_steps * profile.beams],
             frame: 0,
-        }
+        };
+        stream.set_motion(0.5, None);
+        stream
     }
 
     /// Sets the per-frame ego motion (meters) and churn window (azimuth
-    /// columns re-raycast per frame, capped at the column count). Zero
-    /// churn freezes the geometry: subsequent frames are bit-identical.
-    pub fn set_motion(&mut self, ego_step: f32, churn_cols: usize) {
+    /// columns re-raycast per frame, capped at the column count; `None`
+    /// is ~10 % of the columns). Zero churn freezes the geometry:
+    /// subsequent frames are bit-identical.
+    pub fn set_motion(&mut self, ego_step: f32, churn_cols: Option<usize>) {
         self.ego_step = ego_step;
-        self.churn_cols = churn_cols.min(self.azimuth_steps);
+        self.churn_cols =
+            churn_cols.unwrap_or((self.azimuth_steps / 10).max(1)).min(self.azimuth_steps);
     }
 
-    /// Number of azimuth columns in the sweep pattern.
-    pub fn azimuth_steps(&self) -> usize {
-        self.azimuth_steps
-    }
-
-    /// Produces the next frame. Frame 0 raycasts the full sweep from
-    /// the initial pose (its delta inserts everything); each later frame
-    /// advances the ego pose and re-raycasts only the churn window.
-    pub fn next_frame(&mut self) -> Frame {
-        let (cols, full) = if self.frame == 0 {
-            ((0..self.azimuth_steps).collect::<Vec<_>>(), true)
+    /// Produces the next frame's cloud. Frame 0 raycasts the full sweep
+    /// from the initial pose; each later frame advances the ego pose and
+    /// re-raycasts only the churn window.
+    pub fn next_frame(&mut self) -> PointSet {
+        let steps = self.azimuth_steps;
+        let (first, count) = if self.frame == 0 {
+            (0, steps)
         } else {
             self.ego_x += self.ego_step;
-            let cols = (0..self.churn_cols)
-                .map(|i| (self.next_col + i) % self.azimuth_steps)
-                .collect::<Vec<_>>();
-            (cols, false)
+            let first = self.next_col;
+            self.next_col = (first + self.churn_cols) % steps;
+            (first, self.churn_cols)
         };
-        if !full {
-            self.next_col = (self.next_col + self.churn_cols) % self.azimuth_steps.max(1);
-        }
 
         let origin = Point3::new(self.ego_x, 0.0, self.profile.sensor_height);
-        let mut removed: Vec<u32> = Vec::new();
-        let mut inserted: Vec<Point3> = Vec::new();
-        let mut ins_slots: Vec<u32> = Vec::new();
-        for &col in &cols {
+        for col in (first..first + count).map(|c| c % steps) {
             for b in 0..self.profile.beams {
-                let slot = col * self.profile.beams + b;
-                if self.slot_point[slot] != NO_RETURN {
-                    removed.push(self.slot_point[slot]);
-                    self.slot_point[slot] = NO_RETURN;
-                }
-                let dir = beam_dir(self.profile, self.azimuth_steps, col, b);
-                if let Some(t) = self.scene.raycast(origin, dir, self.profile.max_range) {
-                    let jitter = self.rng.gen_range(-RANGE_NOISE..RANGE_NOISE);
-                    let tj = jittered_range(t, jitter, origin, dir, self.profile.max_range);
-                    inserted.push(origin.add(dir.scale(tj)));
-                    ins_slots.push(slot as u32);
-                }
+                let dir = beam_dir(self.profile, steps, col, b);
+                self.slots[col * self.profile.beams + b] =
+                    self.scene.raycast(origin, dir, self.profile.max_range).map(|t| {
+                        let jitter = self.rng.gen_range(-RANGE_NOISE..RANGE_NOISE);
+                        let tj = jittered_range(t, jitter, origin, dir, self.profile.max_range);
+                        origin.add(dir.scale(tj))
+                    });
             }
         }
-
-        // Apply the delta to the point array and mirror the same layout
-        // onto the slot maps: holes (ascending) take the inserts in
-        // order, spill appends, relocated tail survivors follow the
-        // returned moves.
-        let mut holes = removed.clone();
-        holes.sort_unstable();
-        let old_n = self.points.len();
-        let moves = apply_point_delta(&mut self.points, &removed, &inserted);
-        let n_new = self.points.len();
-        let filled = holes.len().min(ins_slots.len());
-        for (&h, &s) in holes.iter().zip(ins_slots.iter()) {
-            self.point_slot[h as usize] = s;
-        }
-        self.point_slot.extend_from_slice(&ins_slots[filled..]);
-        for &(from, to) in &moves {
-            self.point_slot[to as usize] = self.point_slot[from as usize];
-        }
-        self.point_slot.truncate(n_new);
-        debug_assert_eq!(self.point_slot.len(), self.points.len());
-        // Refresh the forward map for every position that changed hands.
-        for &h in &holes[..filled] {
-            self.slot_point[self.point_slot[h as usize] as usize] = h;
-        }
-        for i in old_n - holes.len() + filled..n_new {
-            self.slot_point[self.point_slot[i] as usize] = i as u32;
-        }
-        for &(_, to) in &moves {
-            self.slot_point[self.point_slot[to as usize] as usize] = to;
-        }
-
-        let frame = Frame {
-            index: self.frame,
-            points: PointSet::from_points(self.points.clone()),
-            removed,
-            inserted,
-        };
         self.frame += 1;
-        frame
+        self.slots.iter().flatten().copied().collect()
     }
 }
 
@@ -401,6 +310,7 @@ impl FrameStream {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+    use std::collections::HashSet;
 
     #[test]
     fn ray_box_hits_center() {
@@ -460,46 +370,32 @@ mod tests {
         let mut a = FrameStream::new(7, 4_000, ScanProfile::kitti());
         let mut b = FrameStream::new(7, 4_000, ScanProfile::kitti());
         for _ in 0..4 {
-            let fa = a.next_frame();
-            let fb = b.next_frame();
-            assert_eq!(fa.points.points(), fb.points.points());
-            assert_eq!(fa.removed, fb.removed);
+            assert_eq!(a.next_frame().points(), b.next_frame().points());
         }
         let mut c = FrameStream::new(8, 4_000, ScanProfile::kitti());
         c.next_frame();
-        assert_ne!(a.next_frame().points.points(), c.next_frame().points.points());
+        assert_ne!(a.next_frame().points(), c.next_frame().points());
     }
 
-    #[test]
-    fn frame_stream_delta_reproduces_frames() {
-        let mut stream = FrameStream::new(3, 5_000, ScanProfile::semantic_kitti());
-        let mut mirror: Vec<Point3> = Vec::new();
-        for _ in 0..6 {
-            let frame = stream.next_frame();
-            apply_point_delta(&mut mirror, &frame.removed, &frame.inserted);
-            assert_eq!(
-                mirror,
-                frame.points.points(),
-                "frame {} delta does not reproduce the cloud",
-                frame.index
-            );
-        }
+    /// Fraction of `cur`'s points found bit-identically in `prev`.
+    fn overlap(prev: &PointSet, cur: &PointSet) -> f32 {
+        let bits = |p: &Point3| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()];
+        let prev: HashSet<[u32; 3]> = prev.points().iter().map(bits).collect();
+        cur.points().iter().filter(|p| prev.contains(&bits(p))).count() as f32 / cur.len() as f32
     }
 
     #[test]
     fn frame_stream_overlaps_heavily_and_freezes_on_zero_churn() {
         let mut stream = FrameStream::new(11, 5_000, ScanProfile::kitti());
         let first = stream.next_frame();
-        assert_eq!(first.overlap(), 0.0, "frame 0 is cold");
         let second = stream.next_frame();
         // Default churn refreshes ~10 % of columns, so ≥ 3/4 of the
         // cloud carries over bit-identically.
-        assert!(second.overlap() > 0.75, "overlap too low: {}", second.overlap());
-        // Zero motion + zero churn: frames repeat exactly, empty delta.
-        stream.set_motion(0.0, 0);
-        let frozen = stream.next_frame();
-        assert!(frozen.removed.is_empty() && frozen.inserted.is_empty());
-        assert_eq!(frozen.points.points(), second.points.points());
+        let carried = overlap(&first, &second);
+        assert!(carried > 0.75, "overlap too low: {carried}");
+        // Zero motion + zero churn: frames repeat exactly.
+        stream.set_motion(0.0, Some(0));
+        assert_eq!(stream.next_frame().points(), second.points());
     }
 
     #[test]
@@ -507,8 +403,7 @@ mod tests {
         let profile = ScanProfile::kitti();
         let mut stream = FrameStream::new(5, 3_000, profile);
         for _ in 0..3 {
-            let frame = stream.next_frame();
-            for p in frame.points.points() {
+            for p in stream.next_frame().points() {
                 assert!(p.z >= -2.0 * RANGE_NOISE, "point below ground: {p}");
             }
         }

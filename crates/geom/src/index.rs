@@ -469,68 +469,6 @@ impl GridIndex {
     }
 }
 
-/// Applies a remove-then-insert delta to a point array with one fixed,
-/// deterministic layout — the transformation a streaming frame producer
-/// and its consumers agree on:
-///
-/// 1. remove positions (sorted, deduplicated) become holes,
-/// 2. holes are filled in ascending position order by the inserts in
-///    order; inserts beyond the hole count are appended at the end,
-/// 3. holes beyond the insert count are back-filled by relocating the
-///    last surviving points (highest position first), then the array is
-///    truncated to its new length.
-///
-/// Unremoved points below the truncation point keep their position and
-/// value; the returned `(from, to)` pairs record every relocated
-/// survivor, so callers can patch external per-point state (a frame
-/// stream's ray-slot table) in `O(churn)`.
-///
-/// # Panics
-///
-/// Panics if any remove position is out of bounds (duplicates collapse
-/// to one removal).
-pub fn apply_point_delta(
-    points: &mut Vec<Point3>,
-    removes: &[u32],
-    inserts: &[Point3],
-) -> Vec<(u32, u32)> {
-    let n = points.len();
-    let mut holes: Vec<u32> = removes.to_vec();
-    holes.sort_unstable();
-    holes.dedup();
-    assert!(
-        holes.last().is_none_or(|&r| (r as usize) < n),
-        "remove position out of bounds: {:?} (len {n})",
-        holes.last()
-    );
-    let n_new = n - holes.len() + inserts.len();
-    let filled = holes.len().min(inserts.len());
-    for (&h, &p) in holes.iter().zip(inserts.iter()) {
-        points[h as usize] = p;
-    }
-    points.extend_from_slice(&inserts[filled..]);
-    let mut moves = Vec::new();
-    // Leftover holes (ascending): back-fill from the tail. A tail
-    // position that is itself a hole is consumed, not relocated.
-    let leftover = &holes[filled..];
-    let mut front = 0usize;
-    let mut back = leftover.len();
-    let mut tail = points.len();
-    while front < back {
-        tail -= 1;
-        if leftover[back - 1] as usize == tail {
-            back -= 1;
-            continue;
-        }
-        let to = leftover[front];
-        points[to as usize] = points[tail];
-        moves.push((tail as u32, to));
-        front += 1;
-    }
-    points.truncate(n_new);
-    moves
-}
-
 /// Runs `query` over every query point against one [`GridIndex`] of
 /// `input`, parallelizing when the total work justifies it. Queries are
 /// handed out in chunks (several per worker for balance) so per-item
@@ -1243,29 +1181,5 @@ mod tests {
         let got = kernel_map(&cloud, &coarse, 2);
         let want = golden::kernel_map_hash(&cloud, &coarse, 2);
         assert_eq!(got.to_entries(), want.to_entries());
-    }
-
-    #[test]
-    fn apply_point_delta_layout() {
-        let p = |i: i32| Point3::new(i as f32, 0.0, 0.0);
-        // More inserts than holes: holes filled in order, spill appended.
-        let mut pts: Vec<Point3> = (0..5).map(p).collect();
-        let moves = apply_point_delta(&mut pts, &[1, 3], &[p(10), p(11), p(12)]);
-        assert!(moves.is_empty());
-        assert_eq!(pts, vec![p(0), p(10), p(2), p(11), p(4), p(12)]);
-        // More holes than inserts: tail back-fills, array shrinks.
-        let mut pts: Vec<Point3> = (0..6).map(p).collect();
-        let moves = apply_point_delta(&mut pts, &[0, 2, 4], &[p(20)]);
-        assert_eq!(moves, vec![(5, 2)]);
-        assert_eq!(pts, vec![p(20), p(1), p(5), p(3)]);
-        // Tail positions that are themselves holes are consumed, not moved.
-        let mut pts: Vec<Point3> = (0..6).map(p).collect();
-        let moves = apply_point_delta(&mut pts, &[1, 4, 5], &[]);
-        assert_eq!(moves, vec![(3, 1)]);
-        assert_eq!(pts, vec![p(0), p(3), p(2)]);
-        // Empty delta is the identity.
-        let mut pts: Vec<Point3> = (0..4).map(p).collect();
-        assert!(apply_point_delta(&mut pts, &[], &[]).is_empty());
-        assert_eq!(pts.len(), 4);
     }
 }

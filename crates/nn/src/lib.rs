@@ -41,7 +41,6 @@ mod exec;
 mod layer;
 mod network;
 pub mod stats;
-pub mod stream;
 mod trace;
 pub mod verify;
 mod weights;

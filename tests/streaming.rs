@@ -1,21 +1,33 @@
 //! Streaming scenario family: the multi-frame LiDAR pipeline end to
 //! end — [`FrameStream`] determinism and overlap, [`GridIndex`] kNN on
-//! far-outside and degenerate queries against the golden ranking,
-//! cross-frame trace reuse pinned to a fresh compile's fingerprint, and
-//! the [`serve_stream`] SLO scenario on a simulated clock.
+//! far-outside and degenerate queries against the golden ranking, the
+//! point-order invariance of voxel-net traces that scan-slot frames rest
+//! on, and the [`serve_stream`] SLO scenario on a simulated clock,
+//! checked record by record against fresh compiles.
 
+use std::collections::HashSet;
 use std::time::Duration;
 
-use pointacc::{Accelerator, PointAccConfig};
+use pointacc::{Accelerator, Engine, EngineReport, PointAccConfig};
 use pointacc_bench::frontend::SimClock;
 use pointacc_bench::stream::{serve_stream, StreamOptions};
 use pointacc_data::lidar::{FrameStream, ScanProfile};
 use pointacc_geom::golden;
 use pointacc_geom::index::GridIndex;
 use pointacc_geom::{Point3, PointSet};
-use pointacc_nn::stream::{ReuseOutcome, StreamingTracer};
-use pointacc_nn::{zoo, ExecMode, Executor};
+use pointacc_nn::{zoo, ExecMode, Executor, Network};
 use proptest::prelude::*;
+
+/// Every coordinate's bit pattern, point by point.
+fn bits(set: &PointSet) -> Vec<[u32; 3]> {
+    set.points().iter().map(|p| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()]).collect()
+}
+
+/// Fraction of `cur`'s points found bit-identically in `prev`.
+fn overlap(prev: &PointSet, cur: &PointSet) -> f32 {
+    let prev: HashSet<[u32; 3]> = bits(prev).into_iter().collect();
+    bits(cur).iter().filter(|p| prev.contains(*p)).count() as f32 / cur.len() as f32
+}
 
 // ---------------------------------------------------------------------
 // FrameStream scenarios
@@ -29,13 +41,38 @@ fn frame_stream_is_reproducible_and_overlapping() {
     };
     let a = collect();
     let b = collect();
-    for (fa, fb) in a.iter().zip(&b) {
-        assert_eq!(fa.points, fb.points, "frame {} not reproducible", fa.index);
-        assert_eq!(fa.removed, fb.removed);
-        assert_eq!(fa.inserted, fb.inserted);
+    for (k, (fa, fb)) in a.iter().zip(&b).enumerate() {
+        assert_eq!(bits(fa), bits(fb), "frame {k} not reproducible");
     }
-    for f in &a[1..] {
-        assert!(f.overlap() > 0.75, "frame {} overlap {} too low", f.index, f.overlap());
+    for (k, pair) in a.windows(2).enumerate() {
+        let carried = overlap(&pair[0], &pair[1]);
+        assert!(carried > 0.75, "frame {} overlap {carried} too low", k + 1);
+    }
+}
+
+/// Stream frames list their returns in scan-slot order, not in the
+/// order a remove/insert delta would leave them. That is sound only
+/// because a voxel net's trace is a function of the point set alone:
+/// voxelization sorts and de-duplicates the coordinates.
+#[test]
+fn voxel_net_traces_ignore_point_order() {
+    let mut stream = FrameStream::new(9, 1_200, ScanProfile::semantic_kitti());
+    let frames: Vec<PointSet> = (0..2).map(|_| stream.next_frame()).collect();
+    let exec = Executor::new(ExecMode::TraceOnly, 9);
+    for net in [zoo::minknet_outdoor(), zoo::mini_minkunet()] {
+        for (k, frame) in frames.iter().enumerate() {
+            let fingerprint = |points: Vec<Point3>| {
+                exec.try_run(&net, &PointSet::from_points(points)).unwrap().trace.fingerprint()
+            };
+            let want = fingerprint(frame.points().to_vec());
+            let mut reversed = frame.points().to_vec();
+            reversed.reverse();
+            let mut rotated = frame.points().to_vec();
+            rotated.rotate_left(frame.len() / 3);
+            for (how, points) in [("reversed", reversed), ("rotated", rotated)] {
+                assert_eq!(fingerprint(points), want, "{} frame {k} {how}", net.name());
+            }
+        }
     }
 }
 
@@ -91,52 +128,6 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Cross-frame trace reuse
-// ---------------------------------------------------------------------
-
-#[test]
-fn exact_reuse_matches_fresh_compile_fingerprint() {
-    let net = zoo::minknet_outdoor();
-    let mut stream = FrameStream::new(5, 1_500, ScanProfile::semantic_kitti());
-    stream.set_motion(0.0, 0);
-    let mut tracer = StreamingTracer::new(ExecMode::TraceOnly, 5);
-    let first = stream.next_frame();
-    let (cold, outcome) = tracer.run_frame(&net, &first.points).unwrap();
-    assert_eq!(outcome, ReuseOutcome::Compiled);
-    for _ in 0..3 {
-        let frame = stream.next_frame();
-        let (out, outcome) = tracer.run_frame(&net, &frame.points).unwrap();
-        assert_eq!(outcome, ReuseOutcome::ExactReuse);
-        // The reused trace is the compiled trace, byte for byte.
-        assert_eq!(out.trace.fingerprint(), cold.trace.fingerprint());
-        let fresh = Executor::new(ExecMode::TraceOnly, 5).try_run(&net, &frame.points).unwrap();
-        assert_eq!(out.trace.fingerprint(), fresh.trace.fingerprint());
-    }
-    let stats = tracer.stats();
-    assert_eq!(stats.compiles, 1);
-    assert_eq!(stats.exact_reuses, 3);
-    assert!(stats.accounting().ends_with("compiles=1"), "{}", stats.accounting());
-}
-
-#[test]
-fn moving_frames_recompile_and_still_match_fresh_compiles() {
-    let net = zoo::minknet_outdoor();
-    let mut stream = FrameStream::new(6, 1_500, ScanProfile::semantic_kitti());
-    let mut tracer = StreamingTracer::new(ExecMode::TraceOnly, 6);
-    for _ in 0..4 {
-        let frame = stream.next_frame();
-        let (out, _) = tracer.run_frame(&net, &frame.points).unwrap();
-        let fresh = Executor::new(ExecMode::TraceOnly, 6).try_run(&net, &frame.points).unwrap();
-        assert_eq!(
-            out.trace.fingerprint(),
-            fresh.trace.fingerprint(),
-            "frame {} trace drifted from a fresh compile",
-            frame.index
-        );
-    }
-}
-
-// ---------------------------------------------------------------------
 // Serving scenario on the simulated clock
 // ---------------------------------------------------------------------
 
@@ -160,8 +151,8 @@ fn serve_stream_meets_slo_and_compiles_nothing_in_steady_state() {
     assert_eq!(report.records.len(), 10);
     assert_eq!(report.slo_attainment(), 1.0, "max latency {:?}", report.max_latency());
     assert!(report.max_latency() <= Duration::from_millis(100));
-    let steady = report.stats_from(6);
-    assert_eq!(steady.compiles, 0, "steady state compiled: {}", steady.accounting());
+    let steady = &report.records[6..];
+    assert!(steady.iter().all(|r| r.reused), "steady state compiled: {steady:?}");
     assert!(report.amortized_points_per_s() > report.cold_points_per_s());
 }
 
@@ -171,10 +162,106 @@ fn serve_stream_is_a_pure_function_of_its_options() {
     let net = zoo::minknet_outdoor();
     let a = serve_stream(&engine, &net, &SimClock::new(), &scenario_opts()).unwrap();
     let b = serve_stream(&engine, &net, &SimClock::new(), &scenario_opts()).unwrap();
-    assert_eq!(a.stats, b.stats);
     for (ra, rb) in a.records.iter().zip(&b.records) {
-        assert_eq!(ra.outcome, rb.outcome);
+        assert_eq!(ra.reused, rb.reused);
         assert_eq!(ra.service, rb.service);
         assert_eq!(ra.latency, rb.latency);
+    }
+}
+
+/// Each frame of the stream `opts` describes, rebuilt independently of
+/// [`serve_stream`], with the trace fingerprint and report of a fresh
+/// compile.
+fn fresh_frames(
+    engine: &dyn Engine,
+    net: &Network,
+    opts: &StreamOptions,
+) -> Vec<(PointSet, u64, EngineReport)> {
+    let mut stream = FrameStream::new(opts.seed, opts.points_hint, ScanProfile::semantic_kitti());
+    stream.set_motion(opts.ego_step, opts.churn_cols);
+    let exec = Executor::new(ExecMode::TraceOnly, opts.seed);
+    (0..opts.frames)
+        .map(|k| {
+            if opts.dwell_after == Some(k) {
+                stream.set_motion(0.0, Some(0));
+            }
+            let frame = stream.next_frame();
+            let trace = exec.try_run(net, &frame).unwrap().trace;
+            (frame, trace.fingerprint(), engine.evaluate(&trace))
+        })
+        .collect()
+}
+
+/// Every record against an independent replay of its frame: the same
+/// stream rebuilt from the options, each frame compiled and evaluated
+/// afresh. A frame is reused exactly when its bits repeat the previous
+/// frame's, and a reused frame is priced as the fresh compile's total
+/// minus its mapping phase.
+#[test]
+fn serve_stream_records_match_fresh_compiles() {
+    let engine = Accelerator::new(PointAccConfig::full());
+    let net = zoo::minknet_outdoor();
+    let opts = scenario_opts();
+    let report = serve_stream(&engine, &net, &SimClock::new(), &opts).unwrap();
+    let fresh = fresh_frames(&engine, &net, &opts);
+    assert_eq!(report.records.len(), fresh.len());
+    for (k, (record, (frame, _, want))) in report.records.iter().zip(&fresh).enumerate() {
+        assert_eq!(record.index, k);
+        assert_eq!(record.points, frame.len());
+        let repeats = k > 0 && bits(&fresh[k - 1].0) == bits(frame);
+        assert_eq!(record.reused, repeats, "frame {k}");
+        assert_eq!(record.full_service, Duration::from_secs_f64(want.total.0), "frame {k}");
+        let service = if repeats { want.total.0 - want.mapping.0 } else { want.total.0 };
+        assert_eq!(record.service, Duration::from_secs_f64(service), "frame {k}");
+    }
+    assert!(report.records.iter().any(|r| r.reused) && report.records.iter().any(|r| !r.reused));
+}
+
+/// A stream that never moves: frame 0 compiles, every later frame
+/// repeats it bit for bit and reuses its report, and a fresh compile of
+/// each repeat gives frame 0's trace fingerprint and report.
+#[test]
+fn exact_reuse_matches_fresh_compile_fingerprint() {
+    let engine = Accelerator::new(PointAccConfig::full());
+    let net = zoo::minknet_outdoor();
+    let opts = StreamOptions {
+        seed: 5,
+        frames: 4,
+        points_hint: 1_500,
+        dwell_after: Some(0),
+        ..StreamOptions::default()
+    };
+    let report = serve_stream(&engine, &net, &SimClock::new(), &opts).unwrap();
+    let reused: Vec<bool> = report.records.iter().map(|r| r.reused).collect();
+    assert_eq!(reused, [false, true, true, true], "exactly one compile");
+    let fresh = fresh_frames(&engine, &net, &opts);
+    let (cold, cold_fingerprint, _) = &fresh[0];
+    for (k, (frame, fingerprint, want)) in fresh.iter().enumerate().skip(1) {
+        assert_eq!(bits(frame), bits(cold), "frame {k}");
+        // The reused report stands for the compiled trace, byte for byte.
+        assert_eq!(fingerprint, cold_fingerprint, "frame {k}");
+        let record = &report.records[k];
+        assert_eq!(record.full_service, report.records[0].full_service, "frame {k}");
+        assert_eq!(record.full_service, Duration::from_secs_f64(want.total.0), "frame {k}");
+    }
+}
+
+/// A stream that keeps moving: no frame repeats its predecessor's trace,
+/// so every frame compiles and is priced as a fresh compile of it.
+#[test]
+fn moving_frames_recompile_and_still_match_fresh_compiles() {
+    let engine = Accelerator::new(PointAccConfig::full());
+    let net = zoo::minknet_outdoor();
+    let opts = StreamOptions { seed: 6, frames: 4, points_hint: 1_500, ..StreamOptions::default() };
+    let report = serve_stream(&engine, &net, &SimClock::new(), &opts).unwrap();
+    let fresh = fresh_frames(&engine, &net, &opts);
+    for (k, pair) in fresh.windows(2).enumerate() {
+        assert_ne!(pair[0].1, pair[1].1, "frame {} kept its predecessor's trace", k + 1);
+    }
+    assert_eq!(report.records.len(), fresh.len());
+    for (k, (record, (_, _, want))) in report.records.iter().zip(&fresh).enumerate() {
+        assert!(!record.reused, "moving frame {k} reused a stale report");
+        assert_eq!(record.service, record.full_service, "frame {k}");
+        assert_eq!(record.full_service, Duration::from_secs_f64(want.total.0), "frame {k}");
     }
 }
