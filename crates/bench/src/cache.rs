@@ -34,8 +34,7 @@
 //! returning the cached error — right for deterministic failures like
 //! an unknown dataset — while [`FailurePolicy::RetryOnRequest`] drops
 //! the failed slot and rebuilds, so a *transient* fault does not make
-//! the key permanently unservable. [`TraceCache::invalidate`] gives
-//! callers per-key recovery under either policy.
+//! the key permanently unservable.
 //!
 //! [`global`] is the cache the [`Grid`](crate::harness::Grid) uses; it
 //! picks up its disk tier from `POINTACC_ARTIFACT_DIR` (see
@@ -349,15 +348,6 @@ impl TraceCache {
         *lock(&self.stats) = CacheStats::default();
     }
 
-    /// Drops the cached outcome of one `key` (success or failure); the
-    /// next request rebuilds it. An in-flight build is detached, not
-    /// cancelled: its waiters still receive its result, but the map
-    /// forgets it. Per-key recovery for callers that know a specific
-    /// cached failure was transient.
-    pub fn invalidate(&self, key: &TraceKey) {
-        lock(&self.slots).map.remove(key);
-    }
-
     /// Evicts every cached trace, releasing the memory (traces still
     /// borrowed by live grids stay alive through their `Arc`s until
     /// those drop). Counters are kept: `clear` trades memory for
@@ -575,29 +565,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_drops_one_key_only() {
-        use crate::UnknownDataset;
-        let cache = TraceCache::new();
-        let bad = TraceKey::new("bad", 1, 0.5);
-        let good = TraceKey::new("good", 1, 0.5);
-        cache
-            .try_get_or_build(&bad, || Err(UnknownDataset { name: "blip".into() }.into()))
-            .unwrap_err();
-        cache.get_or_build(&good, || tiny_trace("good"));
-        cache.invalidate(&bad);
-        // The invalidated failure rebuilds even under Retain…
-        let ok = cache.try_get_or_build(&bad, || Ok(tiny_trace("bad"))).unwrap();
-        assert_eq!(ok.network, "bad");
-        // …while the untouched key is still a hit.
-        let builds = AtomicU64::new(0);
-        cache.get_or_build(&good, || {
-            builds.fetch_add(1, Ordering::SeqCst);
-            tiny_trace("good")
-        });
-        assert_eq!(builds.load(Ordering::SeqCst), 0);
-    }
-
-    #[test]
     fn bounded_cache_evicts_least_recently_used_completed_entry() {
         let cache = TraceCache::new().bounded(2);
         let k1 = TraceKey::new("net", 1, 0.5);
@@ -710,15 +677,16 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn version_1_artifact_is_recompiled_and_rewritten() {
-        let dir = temp_dir("v1-upgrade");
+    /// A well-formed artifact whose header names a retired `version`
+    /// counts as a compile, not a disk hit or a verifier reject, and is
+    /// rewritten at the current version under the same file name.
+    fn old_version_artifact_is_recompiled_and_rewritten(version: u32) {
+        let dir = temp_dir(&format!("v{version}-upgrade"));
         let _ = std::fs::remove_dir_all(&dir);
         let key = TraceKey::new("net", 1, 0.5);
         let path = dir.join(artifact::file_name(&key));
-        // A well-formed artifact under the retired version-1 header.
         let mut old = artifact::encode(&key, &tiny_trace("net"));
-        old[8..12].copy_from_slice(&1u32.to_le_bytes());
+        old[8..12].copy_from_slice(&version.to_le_bytes());
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(&path, old).unwrap();
 
@@ -727,7 +695,7 @@ mod tests {
         assert_eq!(
             cache.stats(),
             CacheStats { hits: 0, misses: 1, disk_hits: 0, compiles: 1, verify_rejects: 0 },
-            "an old-version artifact is a compile, not a disk hit or a verifier reject"
+            "a version-{version} artifact is a compile, not a disk hit or a verifier reject"
         );
         // The compile atomically rewrote the file at the current version,
         // so a fresh cache now disk-hits.
@@ -738,6 +706,16 @@ mod tests {
         fresh.get_or_build(&key, || panic!("must load from disk"));
         assert_eq!(fresh.stats().disk_hits, 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn version_1_artifact_is_recompiled_and_rewritten() {
+        old_version_artifact_is_recompiled_and_rewritten(1);
+    }
+
+    #[test]
+    fn version_2_artifact_is_recompiled_and_rewritten() {
+        old_version_artifact_is_recompiled_and_rewritten(2);
     }
 
     #[test]

@@ -420,8 +420,7 @@ impl<'a> Frontend<'a> {
     /// long-lived server keeps its compiled traces warm across request
     /// waves — and how a driver recovers a cache that negatively cached
     /// a transient fault: serve again on the same cache under
-    /// [`FailurePolicy::RetryOnRequest`] (or after
-    /// [`TraceCache::invalidate`]) and the failed keys rebuild. The
+    /// [`FailurePolicy::RetryOnRequest`] and the failed keys rebuild. The
     /// report's [`ServeReport::cache`] snapshots the cache *after* this
     /// run; pair with [`TraceCache::reset_stats`] at wave boundaries
     /// for per-wave accounting.

@@ -11,12 +11,12 @@
 //! directory with atomic write-rename so concurrent processes sharing
 //! the directory never observe a half-written file.
 //!
-//! # Wire format (version 2, little-endian)
+//! # Wire format (version 3, little-endian)
 //!
 //! ```text
 //! magic    [u8; 8]  b"PACCTRC1"
 //! version  u32      FORMAT_VERSION (readers reject every other version)
-//! checksum u64      FNV-1a over every byte after this field
+//! checksum u64      word hash (below) of every byte after this field
 //! body:
 //!   key    str network, u64 seed, u64 scale_ppm
 //!   trace  str network, str input_desc, u32 n_layers, layers…
@@ -31,20 +31,48 @@
 //! opt T:   u8 0|1 + T
 //! ```
 //!
+//! A map table's three arrays are written as whole slices and read back
+//! after one bounds check per array; they are most of an artifact's
+//! bytes. The body is laid out exactly as in version 2: only the
+//! checksum function changed.
+//!
 //! The trace section is the canonical encoding of a [`NetworkTrace`]:
-//! [`NetworkTrace::fingerprint`] is FNV-1a over exactly those bytes,
+//! [`NetworkTrace::fingerprint`] is the word hash of exactly those bytes,
 //! streamed through the same encoder without building a buffer. Every
 //! field on the wire, names included, is therefore covered by the
 //! fingerprint, and no second field list exists to drift from it.
 //!
+//! # The word hash
+//!
+//! One in-tree 64-bit hash is both the checksum and the fingerprint. It
+//! reads the stream as little-endian 8-byte words and folds word `w`
+//! into a state `h` as `h = (h ^ w).wrapping_mul(K).rotate_left(R)`
+//! with `K` odd. Word `i` goes to the `i % 4`th of four states, so their
+//! multiplies overlap in the pipeline. The zero-padded tail word
+//! continues the states; then the four states, the byte length and a
+//! 64-bit avalanche (the MurmurHash3 finalizer) fold into the result.
+//! Any split of the stream across writes gives the same value, so the
+//! fingerprint needs no buffer.
+//!
+//! Every single-bit flip is caught by construction, not with high
+//! probability. For a fixed word a step is a bijection of the state
+//! (xor, multiplication by an odd constant modulo 2^64 and rotation are
+//! all invertible), for a fixed state it is a bijection of the word, and
+//! the avalanche is a bijection too. Two streams of equal length that
+//! differ in one aligned word therefore leave one state apart, and it
+//! stays apart through every later step, so the results differ. A bit
+//! flip changes one word and not the length. Truncated or padded
+//! streams change the folded length, and the parser's bounds checks
+//! reject truncations on their own as well.
+//!
 //! Validation on load is layered: the checksum is the one integrity
-//! hash and rejects any bit flip or truncation, the parser
-//! bounds-checks every length prefix before allocating, map tables
-//! rebuild through the validating [`MapTable::try_from_soa`], and
-//! [`load`] runs the static verifier on the decoded trace. Version 1
-//! files (which also stored the fingerprint) are rejected as
-//! [`ArtifactError::UnsupportedVersion`]; the trace cache recompiles
-//! and rewrites them.
+//! hash, the parser bounds-checks every length prefix before allocating,
+//! map tables rebuild through the validating [`MapTable::try_from_soa`],
+//! and [`load`] runs the static verifier on the decoded trace. Version 1
+//! files (which also stored the fingerprint) and version 2 files (whose
+//! checksum was a byte-at-a-time FNV-1a) are rejected as
+//! [`ArtifactError::UnsupportedVersion`]; the trace cache recompiles them
+//! and rewrites them under the same file name.
 
 use std::fmt;
 use std::fs;
@@ -60,7 +88,7 @@ use crate::trace::{Aggregation, ComputeKind, LayerTrace, MappingOp, NetworkTrace
 pub const MAGIC: [u8; 8] = *b"PACCTRC1";
 
 /// Format version written by [`encode`]; [`decode`] rejects all others.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Bytes before the body: magic, version and checksum.
 const HEADER_LEN: usize = MAGIC.len() + 4 + 8;
@@ -171,9 +199,9 @@ impl From<std::io::Error> for ArtifactError {
 // Encoding
 // ---------------------------------------------------------------------
 
-/// Where the encoder writes: a byte buffer for [`encode`], or [`Fnv`]
-/// for [`NetworkTrace::fingerprint`], which hashes the same bytes
-/// without materializing them.
+/// Where the encoder writes: a byte buffer for [`encode`], or
+/// [`WordHash`] for [`NetworkTrace::fingerprint`], which hashes the same
+/// bytes without materializing them.
 trait Sink {
     fn put(&mut self, bytes: &[u8]);
 
@@ -193,6 +221,34 @@ trait Sink {
         self.u32(s.len() as u32);
         self.put(s.as_bytes());
     }
+
+    /// Writes every item of `items` as its `N` little-endian bytes,
+    /// staged through a stack buffer so the sink sees one `put` per
+    /// kibibyte instead of one per item.
+    fn slice<T: Copy, const N: usize>(&mut self, items: &[T], le_bytes: impl Fn(T) -> [u8; N]) {
+        let mut buf = [0u8; 1024];
+        for chunk in items.chunks(buf.len() / N) {
+            let bytes = &mut buf[..chunk.len() * N];
+            for (dst, &item) in bytes.chunks_exact_mut(N).zip(chunk) {
+                dst.copy_from_slice(&le_bytes(item));
+            }
+            self.put(bytes);
+        }
+    }
+}
+
+/// Counts the bytes the encoder writes, so [`encode`] allocates its
+/// buffer once.
+struct Len(usize);
+
+impl Sink for Len {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+
+    fn slice<T: Copy, const N: usize>(&mut self, items: &[T], _: impl Fn(T) -> [u8; N]) {
+        self.0 += items.len() * N;
+    }
 }
 
 impl Sink for Vec<u8> {
@@ -201,42 +257,119 @@ impl Sink for Vec<u8> {
     }
 }
 
-/// Incremental 64-bit FNV-1a: the artifact checksum, the file-name hash
-/// and, fed by the encoder, the trace fingerprint.
-struct Fnv(u64);
+/// The state multiplier of [`WordHash`]; odd, so multiplying by it is
+/// invertible modulo 2^64.
+const WORD_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 
-impl Fnv {
+/// Independent states of [`WordHash`]: word `i` of the stream goes to
+/// lane `i % LANES`, so the lanes' multiplies overlap in the pipeline.
+const LANES: usize = 4;
+
+/// Bytes of one round, a word for every lane.
+const BLOCK: usize = 8 * LANES;
+
+/// Incremental word-at-a-time hash: the artifact checksum and, fed by
+/// the encoder, the trace fingerprint (see the module docs).
+struct WordHash {
+    lanes: [u64; LANES],
+    /// Bytes hashed so far.
+    len: u64,
+    /// The first `pending` bytes of a round not yet complete.
+    tail: [u8; BLOCK],
+    pending: usize,
+}
+
+impl WordHash {
     fn new() -> Self {
-        Fnv(0xCBF2_9CE4_8422_2325)
+        let seed = 0x243F_6A88_85A3_08D3u64;
+        let lanes = [seed, seed.rotate_left(16), seed.rotate_left(32), seed.rotate_left(48)];
+        WordHash { lanes, len: 0, tail: [0; BLOCK], pending: 0 }
+    }
+
+    /// Folds one word into a state. For a fixed `word` this is a
+    /// bijection of `state`, and for a fixed `state` one of `word`.
+    fn step(state: u64, word: u64) -> u64 {
+        (state ^ word).wrapping_mul(WORD_MUL).rotate_left(31)
+    }
+
+    /// Folds `words` (at most [`BLOCK`] bytes, whole words) into the
+    /// lanes in order.
+    fn round(lanes: &mut [u64; LANES], words: &[u8]) {
+        for (lane, word) in lanes.iter_mut().zip(words.chunks_exact(8)) {
+            *lane = Self::step(*lane, u64::from_le_bytes(le_array(word)));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        // The pending bytes, the last word zero-padded, continue the
+        // lanes; then the lanes, the length and an avalanche fold into
+        // one state, each step a bijection in what it folds in.
+        let mut lanes = self.lanes;
+        let mut tail = [0u8; BLOCK];
+        tail[..self.pending].copy_from_slice(&self.tail[..self.pending]);
+        Self::round(&mut lanes, &tail[..self.pending.div_ceil(8) * 8]);
+        let mut h = lanes[1..].iter().fold(lanes[0], |h, &lane| Self::step(h, lane));
+        h = Self::step(h, self.len);
+        // MurmurHash3's 64-bit finalizer: xor-shifts and odd multiplies,
+        // each invertible.
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+        h ^ (h >> 33)
     }
 
     fn of(bytes: &[u8]) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = WordHash::new();
         h.put(bytes);
-        h.0
+        h.finish()
     }
 }
 
-impl Sink for Fnv {
-    fn put(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+impl Sink for WordHash {
+    fn put(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        if self.pending > 0 {
+            let fill = bytes.len().min(BLOCK - self.pending);
+            self.tail[self.pending..self.pending + fill].copy_from_slice(&bytes[..fill]);
+            self.pending += fill;
+            bytes = &bytes[fill..];
+            if self.pending < BLOCK {
+                return;
+            }
+            Self::round(&mut self.lanes, &self.tail);
+            self.pending = 0;
         }
+        let rounds = bytes.chunks_exact(BLOCK);
+        let rest = rounds.remainder();
+        for round in rounds {
+            Self::round(&mut self.lanes, round);
+        }
+        self.tail[..rest.len()].copy_from_slice(rest);
+        self.pending = rest.len();
     }
+}
+
+/// A chunk of `chunks_exact(N)` as an array.
+fn le_array<const N: usize>(chunk: &[u8]) -> [u8; N] {
+    let mut bytes = [0u8; N];
+    bytes.copy_from_slice(chunk);
+    bytes
+}
+
+/// Byte-wise 64-bit FNV-1a, kept only for [`file_name`]: the name is an
+/// on-disk address and must not move when the checksum does.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xCBF2_9CE4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3))
 }
 
 fn encode_map_table(e: &mut impl Sink, table: &MapTable) {
     e.u32(table.n_weights() as u32);
-    for &off in table.offsets() {
-        e.u64(off as u64);
-    }
-    for &input in table.inputs() {
-        e.u32(input);
-    }
-    for &output in table.outputs() {
-        e.u32(output);
-    }
+    e.slice(table.offsets(), |off| (off as u64).to_le_bytes());
+    e.slice(table.inputs(), u32::to_le_bytes);
+    e.slice(table.outputs(), u32::to_le_bytes);
 }
 
 fn encode_layer(e: &mut impl Sink, layer: &LayerTrace) {
@@ -281,12 +414,12 @@ fn encode_trace(e: &mut impl Sink, trace: &NetworkTrace) {
     }
 }
 
-/// FNV-1a over the trace section [`encode`] writes, streamed without a
-/// buffer; see [`NetworkTrace::fingerprint`].
+/// The word hash of the trace section [`encode`] writes, streamed
+/// without a buffer; see [`NetworkTrace::fingerprint`].
 pub(crate) fn fingerprint(trace: &NetworkTrace) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = WordHash::new();
     encode_trace(&mut h, trace);
-    h.0
+    h.finish()
 }
 
 /// Serializes `trace` under `key` into a self-validating byte stream
@@ -294,17 +427,24 @@ pub(crate) fn fingerprint(trace: &NetworkTrace) -> u64 {
 /// `(key, trace)` pair always yields the same bytes, so artifact files
 /// are bit-stable across processes and machines.
 pub fn encode(key: &TraceKey, trace: &NetworkTrace) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut len = Len(HEADER_LEN);
+    encode_body(&mut len, key, trace);
+    let mut out = Vec::with_capacity(len.0);
     out.put(&MAGIC);
     out.u32(FORMAT_VERSION);
     out.u64(0); // checksum, filled in once the body is written
-    out.str_(&key.network);
-    out.u64(key.seed);
-    out.u64(key.scale_ppm);
-    encode_trace(&mut out, trace);
-    let checksum = Fnv::of(&out[HEADER_LEN..]);
+    encode_body(&mut out, key, trace);
+    let checksum = WordHash::of(&out[HEADER_LEN..]);
     out[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
     out
+}
+
+/// Everything after the header: the key, then the trace section.
+fn encode_body(e: &mut impl Sink, key: &TraceKey, trace: &NetworkTrace) {
+    e.str_(&key.network);
+    e.u64(key.seed);
+    e.u64(key.scale_ppm);
+    encode_trace(e, trace);
 }
 
 // ---------------------------------------------------------------------
@@ -345,23 +485,35 @@ impl<'a> Dec<'a> {
         Ok(self.take(1)?[0])
     }
 
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], ArtifactError> {
+        self.take(N).map(le_array)
+    }
+
     fn u32(&mut self) -> Result<u32, ArtifactError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+        self.array().map(u32::from_le_bytes)
     }
 
     fn u64(&mut self) -> Result<u64, ArtifactError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+        self.array().map(u64::from_le_bytes)
     }
 
     /// `u64` narrowed to `usize` (rejects values above the platform's
     /// address width instead of silently wrapping).
     fn usize_(&mut self) -> Result<usize, ArtifactError> {
         let offset = self.pos;
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| ArtifactError::Corrupt {
-            offset,
-            what: format!("size field {v} exceeds the platform usize"),
-        })
+        narrow(offset, self.u64()?)
+    }
+
+    /// `count` items of `N` little-endian bytes each, read after one
+    /// bounds check on the whole array, which also bounds the allocation
+    /// by the stream's length.
+    fn slice<T, const N: usize>(
+        &mut self,
+        count: usize,
+        from_le_bytes: impl Fn([u8; N]) -> T,
+    ) -> Result<Vec<T>, ArtifactError> {
+        let bytes = self.take(count.saturating_mul(N))?;
+        Ok(bytes.chunks_exact(N).map(|item| from_le_bytes(le_array(item))).collect())
     }
 
     fn str_(&mut self) -> Result<String, ArtifactError> {
@@ -399,24 +551,25 @@ impl<'a> Dec<'a> {
     }
 }
 
+/// A size field read at byte `offset`, narrowed to `usize`.
+fn narrow(offset: usize, v: u64) -> Result<usize, ArtifactError> {
+    usize::try_from(v).map_err(|_| ArtifactError::Corrupt {
+        offset,
+        what: format!("size field {v} exceeds the platform usize"),
+    })
+}
+
 fn decode_map_table(d: &mut Dec<'_>) -> Result<MapTable, ArtifactError> {
     let offset = d.pos;
     let n_weights = d.u32()? as usize;
-    d.check_count(n_weights + 1, 8)?;
-    let mut offsets = Vec::with_capacity(n_weights + 1);
-    for _ in 0..=n_weights {
-        offsets.push(d.usize_()?);
-    }
-    let len = *offsets.last().expect("n_weights + 1 >= 1 offsets");
-    d.check_count(len, 8)?;
-    let mut inputs = Vec::with_capacity(len);
-    for _ in 0..len {
-        inputs.push(d.u32()?);
-    }
-    let mut outputs = Vec::with_capacity(len);
-    for _ in 0..len {
-        outputs.push(d.u32()?);
-    }
+    let offsets_at = d.pos;
+    let offsets = d.slice(n_weights + 1, u64::from_le_bytes)?;
+    let offsets = (offsets.into_iter().enumerate())
+        .map(|(i, off)| narrow(offsets_at + 8 * i, off))
+        .collect::<Result<Vec<usize>, _>>()?;
+    let len = offsets[n_weights];
+    let inputs = d.slice(len, u32::from_le_bytes)?;
+    let outputs = d.slice(len, u32::from_le_bytes)?;
     MapTable::try_from_soa(inputs, outputs, offsets).map_err(|e: MapTableError| {
         ArtifactError::Corrupt { offset, what: format!("invalid map table: {e}") }
     })
@@ -519,7 +672,7 @@ pub fn decode(bytes: &[u8]) -> Result<(TraceKey, NetworkTrace), ArtifactError> {
     }
     let stored = header.u64()?;
     let body = &bytes[header.pos..];
-    let computed = Fnv::of(body);
+    let computed = WordHash::of(body);
     if computed != stored {
         return Err(ArtifactError::ChecksumMismatch { stored, computed });
     }
@@ -549,7 +702,7 @@ pub fn file_name(key: &TraceKey) -> String {
         .chars()
         .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '.' { c } else { '_' })
         .collect();
-    let hash = Fnv::of(key.network.as_bytes()) as u32;
+    let hash = fnv1a(key.network.as_bytes()) as u32;
     format!("{sanitized}-{hash:08x}-s{}-p{}.{EXTENSION}", key.seed, key.scale_ppm)
 }
 
@@ -616,6 +769,7 @@ pub fn load(dir: &Path, key: &TraceKey) -> Result<Option<NetworkTrace>, Artifact
 mod tests {
     use super::*;
     use pointacc_geom::MapEntry;
+    use proptest::prelude::*;
 
     fn sample_trace() -> NetworkTrace {
         let maps = MapTable::from_entries(
@@ -709,16 +863,84 @@ mod tests {
 
     #[test]
     fn fingerprint_is_the_hash_of_the_encoded_trace_section() {
-        assert_eq!(Fnv::of(b"a"), 0xAF63_DC4C_8601_EC8C, "FNV-1a reference vector");
+        // Pinned values of the word hash: the empty stream, a stream that
+        // is all tail, one word plus a five-byte tail, and six full
+        // rounds of the four lanes plus one word.
+        assert_eq!(WordHash::of(b""), 0xFD0A_CB03_B79B_6FD5);
+        assert_eq!(WordHash::of(b"MinkNet"), 0x02DA_DCAB_E391_A2C9);
+        assert_eq!(WordHash::of(b"MinkNet(i)-42"), 0xFA4A_6F1B_0006_1729);
+        let ramp: Vec<u8> = (0..200).collect();
+        assert_eq!(WordHash::of(&ramp), 0xDF46_84DE_F2E0_A06F);
         let key = sample_key();
         let mut renamed = sample_trace();
         renamed.network = "other".into();
         renamed.layers[0].name = "other.conv".into();
         for trace in [sample_trace(), renamed] {
             let bytes = encode(&key, &trace);
-            let key_len = 4 + key.network.len() + 8 + 8;
-            let section = &bytes[HEADER_LEN + key_len..];
-            assert_eq!(trace.fingerprint(), Fnv::of(section), "{}", trace.network);
+            assert_eq!(trace.fingerprint(), WordHash::of(trace_section(&key, &bytes)));
+        }
+    }
+
+    /// The trace section of `bytes`, an artifact of `key`.
+    fn trace_section<'a>(key: &TraceKey, bytes: &'a [u8]) -> &'a [u8] {
+        &bytes[HEADER_LEN + 4 + key.network.len() + 8 + 8..]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn any_split_of_the_stream_hashes_like_one_put(
+            bytes in prop::collection::vec(0u16..256, 0..5_001)
+                .prop_map(|v| v.into_iter().map(|b| b as u8).collect::<Vec<u8>>()),
+            mut cuts in prop::collection::vec(0usize..5_001, 0..24),
+        ) {
+            cuts.iter_mut().for_each(|cut| *cut = (*cut).min(bytes.len()));
+            cuts.sort_unstable();
+            let mut h = WordHash::new();
+            let mut from = 0;
+            for cut in cuts.into_iter().chain([bytes.len()]) {
+                h.put(&bytes[from..cut]);
+                from = cut;
+            }
+            prop_assert_eq!(h.finish(), WordHash::of(&bytes));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Tables of 1 000 to 5 000 maps span many staging buffers, and
+        /// names whose lengths are not multiples of 8 make puts start and
+        /// end inside words.
+        #[test]
+        fn large_tables_fingerprint_their_section_and_reject_damage(
+            tables in prop::collection::vec(
+                prop::collection::vec((0u32..60_000, 0u32..60_000, 0u16..27), 1_000..5_001),
+                1..4,
+            ),
+            name_words in 0usize..8,
+            sel in 0u64..u64::MAX,
+        ) {
+            let (key, mut trace) = (sample_key(), sample_trace());
+            trace.network = "n".repeat(8 * name_words + 3);
+            trace.layers = (tables.into_iter().enumerate())
+                .map(|(i, entries)| {
+                    let mut layer = sample_trace().layers[0].clone();
+                    layer.name = format!("layer{i}.{}", "c".repeat(8 * name_words + 4));
+                    let entries = entries.into_iter().map(|(i, o, w)| MapEntry::new(i, o, w));
+                    layer.maps = Some(MapTable::from_entries(entries.collect(), 27));
+                    layer
+                })
+                .collect();
+            let bytes = encode(&key, &trace);
+            prop_assert_eq!(trace.fingerprint(), WordHash::of(trace_section(&key, &bytes)));
+            prop_assert_eq!(decode(&bytes), Ok((key.clone(), trace)));
+            let cut = (sel % bytes.len() as u64) as usize;
+            prop_assert!(decode(&bytes[..cut]).is_err(), "a {}-byte prefix", cut);
+            let mut flipped = bytes;
+            flipped[cut] ^= 1 << (sel / 7 % 8);
+            prop_assert!(decode(&flipped).is_err(), "a flip in byte {}", cut);
         }
     }
 
@@ -745,6 +967,9 @@ mod tests {
         let b = file_name(&TraceKey::new("MinkNet(o)", 42, 0.05));
         let c = file_name(&TraceKey::new("MinkNet(i)", 43, 0.05));
         let d = file_name(&TraceKey::new("MinkNet(i)", 42, 0.1));
+        // The name is an address on disk, not an integrity hash: it stays
+        // put when the checksum changes.
+        assert_eq!(a, "MinkNet_i_-6e03f1e7-s42-p50000.trace");
         assert!(a.chars().all(|ch| ch.is_ascii_alphanumeric() || "-._".contains(ch)), "{a}");
         assert!(a != b && a != c && a != d);
         // Sanitization alone would collide these; the embedded hash of

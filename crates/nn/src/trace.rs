@@ -359,14 +359,16 @@ impl NetworkTrace {
         self.layers.first().map_or(0, |l| l.n_in)
     }
 
-    /// Content fingerprint: FNV-1a over the trace's canonical encoding,
-    /// the trace section of an [`artifact`](crate::artifact), streamed
-    /// into the hash without building a buffer. It covers every field
-    /// the wire format carries: names, shapes, compute and aggregation
-    /// metadata, every mapping-op descriptor and the **full map tables**.
-    /// Two traces agree iff they encode to the same bytes (up to FNV-1a
-    /// collisions); unlike a shape-only hash, it tells apart same-shaped
-    /// traces with different kernel maps.
+    /// Content fingerprint: the artifact's word hash (the same function
+    /// as its checksum) over the trace's canonical encoding, the trace
+    /// section of an [`artifact`](crate::artifact), streamed into the
+    /// hash without building a buffer. It covers every field the wire
+    /// format carries: names, shapes, compute and aggregation metadata,
+    /// every mapping-op descriptor and the **full map tables**. Two
+    /// traces agree iff they encode to the same bytes, up to 64-bit hash
+    /// collisions; encodings of equal length that differ in one aligned
+    /// 8-byte word never collide. Unlike a shape-only hash, it tells
+    /// apart same-shaped traces with different kernel maps.
     pub fn fingerprint(&self) -> u64 {
         crate::artifact::fingerprint(self)
     }

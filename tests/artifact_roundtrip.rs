@@ -155,7 +155,7 @@ proptest! {
 fn wrong_version_files_are_rejected_with_the_version() {
     let (key, trace) = random_artifact(7);
     let mut bytes = artifact::encode(&key, &trace);
-    for version in [0u32, artifact::FORMAT_VERSION + 1, u32::MAX] {
+    for version in [0u32, 2, artifact::FORMAT_VERSION + 1, u32::MAX] {
         bytes[8..12].copy_from_slice(&version.to_le_bytes());
         assert_eq!(
             artifact::decode(&bytes),
